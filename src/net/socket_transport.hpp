@@ -4,11 +4,12 @@
 // SocketTransport puts every message THROUGH THE KERNEL: each wire
 // attempt is one codec frame (net/wire_codec.hpp) written to a
 // nonblocking stream socket -- Unix-domain or TCP -- and read back,
-// reassembled and decoded by a poll() event loop.  The reliable-delivery
-// state machine above the wire (transfer slots, acks, capped-exponential
+// reassembled and decoded by a poll() event loop.  Reliable delivery
+// above the wire (transfer slots, acks, capped-exponential
 // retransmission, the bounded orphan dedup window, crash/stall marks) is
-// ThreadTransport's, verbatim: tests/transport_conformance_test runs the
-// same contract suite against all three backends.
+// the shared core's (protocol/reliable_core.hpp), and the driving
+// thread's side is ConcurrentTransport's: tests/transport_conformance_test
+// runs the same contract suite against all three backends.
 //
 // Topology: the transport binds one listen address and maintains one
 // outbound connection per configured peer, routing a frame for node
@@ -31,27 +32,19 @@
 // honoured by delaying each frame's enqueue-to-socket instant; kernel
 // transit adds its real microseconds on top.
 //
-// Threading contract: identical to ThreadTransport -- one driving
-// thread calls send()/draft()/schedule()/run_*, the sink and abandon
-// handler run only on that driving thread from inside run_*, and all
-// shared state sits behind one mutex that the I/O thread holds only for
-// the microseconds an event takes to classify.  NOT deterministic.
+// Threading: ConcurrentTransport's contract; the I/O thread plays the
+// wire.  NOT deterministic.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "net/socket.hpp"
-#include "protocol/transport.hpp"
+#include "protocol/concurrent_transport.hpp"
 
 namespace voronet::net {
 
@@ -68,13 +61,10 @@ struct SocketTransportConfig {
   double reconnect_cap = 2.0;
 };
 
-class SocketTransport final : public protocol::Transport {
+class SocketTransport final : public protocol::ConcurrentTransport {
  public:
   using NetworkConfig = protocol::NetworkConfig;
-  using NetworkStats = protocol::NetworkStats;
   using Message = protocol::Message;
-  using NodeId = protocol::NodeId;
-  using ViewEntry = protocol::ViewEntry;
 
   /// Binds, spawns the I/O thread, and starts connecting.  Throws
   /// std::runtime_error when the listen address cannot be bound (that is
@@ -86,58 +76,9 @@ class SocketTransport final : public protocol::Transport {
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
-  void set_sink(Sink sink) override { sink_ = std::move(sink); }
-  void set_abandon_handler(AbandonHandler handler) override {
-    abandon_ = std::move(handler);
-  }
-
-  [[nodiscard]] Message draft(std::size_t reserve_entries = 0) override;
-  void send(Message msg) override;
-
-  void crash(NodeId node) override;
-  void revive(NodeId node) override;
-  [[nodiscard]] bool crashed(NodeId node) const override;
-
-  void stall(NodeId node) override;
-  void resume(NodeId node) override;
-  void resume_all() override;
-  [[nodiscard]] bool stalled(NodeId node) const override;
-
-  void begin_loss_burst(double extra_drop) override;
-  void end_loss_burst(double extra_drop) override;
-  void begin_latency_spike(double factor) override;
-  void end_latency_spike(double factor) override;
-  void begin_duplication(double probability) override;
-  void end_duplication(double probability) override;
-
-  void set_link_filter(LinkFilter up) override;
-  void clear_link_filter() override;
-
-  [[nodiscard]] double now() const override;
-  void schedule(double delay, Task fn) override;
-  RunResult run_to_idle(std::size_t max_events) override;
-  RunResult run_until(double horizon) override;
-
-  [[nodiscard]] std::size_t in_flight() const override;
-  [[nodiscard]] std::size_t stalled_backlog() const override;
-  [[nodiscard]] std::size_t dedup_entries() const override;
-  [[nodiscard]] std::size_t dedup_window_size() const override;
+  /// The core's bytes plus the pooled frame buffers.
   [[nodiscard]] std::size_t memory_bytes() const override;
 
-  [[nodiscard]] sim::Metrics& metrics() override { return metrics_; }
-  [[nodiscard]] const sim::Metrics& metrics() const override {
-    return metrics_;
-  }
-  [[nodiscard]] const NetworkStats& stats() const override { return stats_; }
-  [[nodiscard]] const NetworkConfig& config() const override {
-    return config_;
-  }
-  [[nodiscard]] double retransmit_timeout() const override { return rto_; }
-
-  void set_tracer(obs::Tracer*) override {}  // inert, like ThreadTransport
-  void set_recorder(obs::FlightRecorder*) override {}
-
-  [[nodiscard]] bool deterministic() const override { return false; }
   [[nodiscard]] const char* backend_name() const override { return "socket"; }
 
   /// The bound listen address (resolved: TCP port 0 becomes the kernel's
@@ -145,31 +86,6 @@ class SocketTransport final : public protocol::Transport {
   [[nodiscard]] const Address& listen_address() const { return listen_addr_; }
 
  private:
-  // Reliable-transfer state: ThreadTransport's structures, verbatim.
-  struct Transfer {
-    Message msg;
-    std::uint64_t id = 0;  ///< 0 = free slot
-    std::size_t attempts = 1;
-    bool delivered = false;
-    bool settled = false;
-  };
-
-  struct OrphanWindow {
-    struct Rec {
-      std::uint64_t transfer_id = 0;
-      NodeId dst = protocol::kNoNode;
-    };
-    std::vector<Rec> ring;
-    std::size_t next = 0;
-    std::size_t count = 0;
-
-    [[nodiscard]] bool empty() const { return count == 0; }
-    [[nodiscard]] std::size_t size() const { return count; }
-    bool insert(std::uint64_t transfer_id, NodeId dst);
-    void erase(std::uint64_t transfer_id);
-    void erase_dst(NodeId dst);
-  };
-
   /// A timed event for the I/O thread: an encoded frame to enqueue on a
   /// peer connection at its latency deadline, a retransmit timer, or a
   /// (re)connect attempt.
@@ -200,16 +116,11 @@ class SocketTransport final : public protocol::Transport {
     std::size_t off = 0;            ///< consumed prefix of buf
   };
 
-  struct Upcall {
-    enum Kind : std::uint8_t { kDeliver, kAbandon } kind = kDeliver;
-    Message msg;
-  };
-
-  struct DriverTimer {
-    double at = 0.0;
-    std::uint64_t seq = 0;
-    Task fn;
-  };
+  // --- Wire hooks (called under the core's lock) ---------------------------
+  /// Encode the frame now (loss was already drawn) and schedule its
+  /// enqueue on the destination's peer connection at the latency deadline.
+  void carry(const Message& msg, double delay) override;
+  sim::TimerId arm_retransmit(const Message& msg, double delay) override;
 
   // --- I/O thread ----------------------------------------------------------
   void io_loop();
@@ -217,66 +128,16 @@ class SocketTransport final : public protocol::Transport {
   void wake_io();
   void process_due(NetEvent& ev);
   void try_connect(std::size_t peer_index);
+  /// Queue the peer's next connect attempt after its capped backoff.
+  void schedule_reconnect(Peer& peer, std::size_t peer_index);
   void peer_down(Peer& peer, std::size_t peer_index);
   void flush_peer(Peer& peer, std::size_t peer_index);
   void read_inbound(Inbound& conn);
-  void process_arrival(Message msg);
-
-  // All *_locked helpers require g_ held.
-  void transmit_locked(const Message& msg);
-  void enqueue_frame_locked(const Message& msg, double delay);
-  void receive_locked(Message msg);
-  void settle_locked(std::uint32_t slot, std::uint64_t transfer_id);
-  void retransmit_locked(std::uint32_t slot, std::uint64_t transfer_id);
-  [[nodiscard]] Transfer* live_transfer_locked(std::uint32_t slot,
-                                               std::uint64_t transfer_id);
-  std::uint32_t alloc_slot_locked();
-  void free_slot_locked(std::uint32_t slot);
-  void recycle_payload_locked(std::vector<ViewEntry>&& entries);
   void recycle_frame(std::vector<std::uint8_t>&& frame);
-  [[nodiscard]] double backoff_timeout(std::uint64_t transfer_id,
-                                       std::size_t attempts) const;
-  [[nodiscard]] double effective_drop_locked() const;
-  [[nodiscard]] bool flag_locked(const std::vector<std::uint8_t>& flags,
-                                 NodeId node) const;
-  static void set_flag(std::vector<std::uint8_t>& flags, NodeId node, bool on);
-  void push_upcall(Upcall up);
-  std::size_t pump();
-  [[nodiscard]] bool quiescent() const;
 
-  NetworkConfig config_;
   SocketTransportConfig socket_config_;
-  double rto_ = 0.0;
-  double rto_cap_ = 0.0;
-  std::chrono::steady_clock::time_point start_;
-
-  Sink sink_;
-  AbandonHandler abandon_;
-
-  // --- Shared transport state (behind g_) ----------------------------------
-  mutable std::mutex g_;
-  Rng rng_;
-  sim::Metrics metrics_;
-  NetworkStats stats_;
-  std::uint64_t next_transfer_ = 1;
-  std::deque<Transfer> transfers_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t in_flight_ = 0;
-  OrphanWindow orphans_;
-  std::vector<std::vector<ViewEntry>> payload_pool_;
+  /// Encoded-frame buffers for reuse; behind the core's lock (guard()).
   std::vector<std::vector<std::uint8_t>> frame_pool_;
-  std::vector<std::uint8_t> crashed_;
-  std::vector<std::uint8_t> stalled_;
-  std::vector<std::vector<Message>> stall_backlog_;
-  std::size_t backlog_count_ = 0;
-  std::vector<double> loss_bursts_;
-  std::vector<double> latency_spikes_;
-  std::vector<double> duplications_;
-  LinkFilter link_up_;
-  /// Frames scheduled (or queued / in the kernel) but not yet decoded and
-  /// classified on arrival -- the wire half of the quiescence probe.
-  std::atomic<std::uint64_t> wire_pending_{0};
-  std::atomic<std::uint64_t> event_seq_{0};
 
   // --- I/O side ------------------------------------------------------------
   Address listen_addr_;
@@ -285,18 +146,12 @@ class SocketTransport final : public protocol::Transport {
   int wake_wr_ = -1;
   std::vector<Peer> peers_;
   std::vector<Inbound> inbound_;
-  std::mutex io_m_;  ///< guards inbox_/stop_ (never held with g_ wanted)
+  /// Guards inbox_/stop_; never held while taking the core's lock.
+  std::mutex io_m_;
   std::vector<NetEvent> inbox_;
   bool stop_ = false;
   std::vector<NetEvent> heap_;  ///< (at, seq) min-heap, I/O thread only
   std::thread io_thread_;
-
-  // --- Driver side ---------------------------------------------------------
-  mutable std::mutex up_m_;
-  std::condition_variable up_cv_;
-  std::deque<Upcall> upcalls_;
-  std::vector<DriverTimer> timers_;  ///< min-heap; driver thread only
-  std::uint64_t timer_seq_ = 0;
 };
 
 }  // namespace voronet::net

@@ -6,8 +6,8 @@
 // little-endian frame per protocol::Message.  This header holds only the
 // layout arithmetic (offsets, sizes, magic/version constants), so that
 // layers which must *account* for wire bytes without ever touching a
-// socket -- protocol::Network and ThreadTransport bill serialized bytes
-// per message kind through sim::Metrics -- can depend on the numbers
+// socket -- the sim and thread backends' reliable core bills serialized
+// bytes per message kind through sim::Metrics -- can depend on the numbers
 // without pulling in the codec or any socket code.  The codec itself
 // (wire_codec.hpp) is the only writer/reader of the layout.
 //

@@ -8,7 +8,7 @@
 // reliable transfer's attempt timeline hang off one causal tree.
 //
 // Zero cost when off: every record_* call is guarded by enabled(), and
-// the instrumentation sites in protocol::Network / ProtocolHarness guard
+// the instrumentation sites in protocol::ReliableCore / ProtocolHarness guard
 // themselves too, so a disabled tracer costs one predictable branch per
 // site (asserted by bench_protocol staying flat).
 //

@@ -335,7 +335,7 @@ class ProtocolHarness {
     std::uint32_t roster_pos = 0;  ///< index into roster_ while live
     bool live = false;
     /// Previous holder departed: the next registration of this id must
-    /// Network::revive() it (recycled-id hygiene); fresh ids skip the
+    /// Transport::revive() it (recycled-id hygiene); fresh ids skip the
     /// in-flight scan.
     bool dead_mark = false;
   };

@@ -3,8 +3,9 @@
 // The sequential overlay (src/voronet) substitutes message *accounting*
 // for messages (DESIGN.md, Substitution 2).  The protocol engine removes
 // that substitution: per-node state machines (protocol::ProtocolNode)
-// exchange these typed messages through protocol::Network, which applies
-// latency, loss and failure injection on top of sim::EventQueue.  Message
+// exchange these typed messages through a protocol::Transport, whose
+// reliable-delivery core applies latency, loss and failure injection on
+// top of the backend's wire (sim::EventQueue in the simulator).  Message
 // kinds reuse sim::MessageKind so the per-type counters of sim::Metrics
 // cover both simulation styles with one taxonomy.
 #pragma once
@@ -108,7 +109,7 @@ struct Message {
   bool query_final = false;
   std::uint32_t epoch = 0;  ///< query flood epoch (query kinds only)
 
-  // Transport bookkeeping (owned by protocol::Network).
+  // Transport bookkeeping (owned by protocol::ReliableCore).
   std::uint64_t transfer_id = 0;  ///< unique per logical send, 0 = unset
   /// Transfer-slot index in the transport's slot vector; pure routing
   /// shortcut for acks/timers (the monotone transfer_id stays the

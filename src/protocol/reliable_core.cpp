@@ -1,8 +1,8 @@
-#include "protocol/network.hpp"
+#include "protocol/reliable_core.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
+#include <string>
 
 #include "common/expect.hpp"
 #include "net/wire_format.hpp"
@@ -26,10 +26,16 @@ namespace {
 constexpr std::size_t kMaxPooledPayload = 4096;
 constexpr std::size_t kMaxPoolSize = 1024;
 
+/// Remove one window opened with `value` (end_* balances begin_*).
+void close_window(std::vector<double>& windows, double value) {
+  const auto it = std::find(windows.begin(), windows.end(), value);
+  if (it != windows.end()) windows.erase(it);
+}
+
 }  // namespace
 
-Network::Network(sim::EventQueue& queue, const NetworkConfig& config)
-    : queue_(queue), config_(config), rng_(config.seed) {
+ReliableCore::ReliableCore(const NetworkConfig& config, bool concurrent)
+    : config_(config), concurrent_(concurrent), rng_(config.seed) {
   VORONET_EXPECT(config.drop_probability >= 0.0 &&
                      config.drop_probability < 1.0,
                  "drop probability must lie in [0, 1)");
@@ -45,8 +51,8 @@ Network::Network(sim::EventQueue& queue, const NetworkConfig& config)
   rto_cap_ = config.rto_cap > 0.0 ? config.rto_cap : 16.0 * rto_;
 }
 
-double Network::backoff_timeout(std::uint64_t transfer_id,
-                                std::size_t attempts) const {
+double ReliableCore::backoff_timeout(std::uint64_t transfer_id,
+                                     std::size_t attempts) const {
   // Attempt k waits min(rto * f^(k-1), cap): responsive to a single loss,
   // but a transfer stuck behind a loss burst / latency spike / stalled
   // receiver stops hammering the window.  pow() stays finite: the
@@ -69,7 +75,7 @@ double Network::backoff_timeout(std::uint64_t transfer_id,
   return timeout;
 }
 
-double Network::effective_drop() const {
+double ReliableCore::effective_drop() const {
   double drop = config_.drop_probability;
   for (const double extra : loss_bursts_) drop += extra;
   // Windows are finite (validated by the scenario layer), so a saturated
@@ -78,11 +84,11 @@ double Network::effective_drop() const {
 }
 
 // ---------------------------------------------------------------------------
-// Slot table / payload pool
+// Slot table / payload pool / orphan window
 // ---------------------------------------------------------------------------
 
-void Network::set_flag(std::vector<std::uint8_t>& flags, NodeId node,
-                       bool on) {
+void ReliableCore::set_flag(std::vector<std::uint8_t>& flags, NodeId node,
+                            bool on) {
   if (node < 0) return;
   const auto idx = static_cast<std::size_t>(node);
   if (idx >= flags.size()) {
@@ -92,14 +98,14 @@ void Network::set_flag(std::vector<std::uint8_t>& flags, NodeId node,
   flags[idx] = on ? 1 : 0;
 }
 
-Network::Transfer* Network::live_transfer(std::uint32_t slot,
-                                          std::uint64_t transfer_id) {
+ReliableCore::Transfer* ReliableCore::live_transfer(
+    std::uint32_t slot, std::uint64_t transfer_id) {
   if (slot == kNoTransferSlot || slot >= transfers_.size()) return nullptr;
   Transfer& t = transfers_[slot];
   return t.id == transfer_id ? &t : nullptr;
 }
 
-std::uint32_t Network::alloc_slot() {
+std::uint32_t ReliableCore::alloc_slot() {
   ++in_flight_;
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
@@ -110,9 +116,9 @@ std::uint32_t Network::alloc_slot() {
   return static_cast<std::uint32_t>(transfers_.size() - 1);
 }
 
-void Network::free_slot(std::uint32_t slot) {
+void ReliableCore::free_slot(std::uint32_t slot) {
   Transfer& t = transfers_[slot];
-  recycle_payload(std::move(t.msg.entries));
+  pool_payload(std::move(t.msg.entries));
   t.msg.entries.clear();
   t.id = 0;
   t.attempts = 1;
@@ -124,7 +130,7 @@ void Network::free_slot(std::uint32_t slot) {
   --in_flight_;
 }
 
-void Network::recycle_payload(std::vector<ViewEntry>&& entries) {
+void ReliableCore::pool_payload(std::vector<ViewEntry>&& entries) {
   if (entries.capacity() == 0 || entries.capacity() > kMaxPooledPayload ||
       payload_pool_.size() >= kMaxPoolSize) {
     return;
@@ -133,7 +139,13 @@ void Network::recycle_payload(std::vector<ViewEntry>&& entries) {
   payload_pool_.push_back(std::move(entries));
 }
 
-Message Network::draft(std::size_t reserve_entries) {
+void ReliableCore::recycle_payload(std::vector<ViewEntry>&& entries) {
+  const auto lk = guard();
+  pool_payload(std::move(entries));
+}
+
+Message ReliableCore::draft(std::size_t reserve_entries) {
+  const auto lk = guard();
   Message m;
   if (!payload_pool_.empty()) {
     m.entries = std::move(payload_pool_.back());
@@ -143,8 +155,9 @@ Message Network::draft(std::size_t reserve_entries) {
   return m;
 }
 
-bool Network::OrphanWindow::insert(std::uint64_t transfer_id, NodeId dst) {
-  if (ring.empty()) ring.resize(Network::kOrphanDedupCapacity);
+bool ReliableCore::OrphanWindow::insert(std::uint64_t transfer_id,
+                                        NodeId dst) {
+  if (ring.empty()) ring.resize(kOrphanDedupCapacity);
   for (const Rec& r : ring) {
     if (r.transfer_id == transfer_id) return false;  // already recorded
   }
@@ -157,7 +170,7 @@ bool Network::OrphanWindow::insert(std::uint64_t transfer_id, NodeId dst) {
   return true;
 }
 
-void Network::OrphanWindow::erase(std::uint64_t transfer_id) {
+void ReliableCore::OrphanWindow::erase(std::uint64_t transfer_id) {
   for (Rec& r : ring) {
     if (r.transfer_id == transfer_id) {
       r = Rec{};
@@ -167,7 +180,7 @@ void Network::OrphanWindow::erase(std::uint64_t transfer_id) {
   }
 }
 
-void Network::OrphanWindow::erase_dst(NodeId dst) {
+void ReliableCore::OrphanWindow::erase_dst(NodeId dst) {
   for (Rec& r : ring) {
     if (r.transfer_id != 0 && r.dst == dst) {
       r = Rec{};
@@ -176,7 +189,22 @@ void Network::OrphanWindow::erase_dst(NodeId dst) {
   }
 }
 
-std::size_t Network::dedup_entries() const {
+// ---------------------------------------------------------------------------
+// Accounting
+// ---------------------------------------------------------------------------
+
+std::size_t ReliableCore::in_flight() const {
+  const auto lk = guard();
+  return in_flight_;
+}
+
+std::size_t ReliableCore::stalled_backlog() const {
+  const auto lk = guard();
+  return backlog_count_;
+}
+
+std::size_t ReliableCore::dedup_entries() const {
+  const auto lk = guard();
   std::size_t n = orphans_.size();
   for (const Transfer& t : transfers_) {
     if (t.id != 0 && t.delivered) ++n;
@@ -184,7 +212,13 @@ std::size_t Network::dedup_entries() const {
   return n;
 }
 
-std::size_t Network::memory_bytes() const {
+std::size_t ReliableCore::dedup_window_size() const {
+  const auto lk = guard();
+  return orphans_.size();
+}
+
+std::size_t ReliableCore::memory_bytes() const {
+  const auto lk = guard();
   std::size_t b = transfers_.size() * sizeof(Transfer);
   for (const Transfer& t : transfers_) {
     b += t.msg.entries.capacity() * sizeof(ViewEntry);
@@ -203,11 +237,22 @@ std::size_t Network::memory_bytes() const {
   return b;
 }
 
+NetworkStats ReliableCore::stats() const {
+  const auto lk = guard();
+  return stats_;
+}
+
+void ReliableCore::count_wire_losses(std::size_t frames) {
+  const auto lk = guard();
+  stats_.dropped += frames;
+}
+
 // ---------------------------------------------------------------------------
 // Send / failure injection
 // ---------------------------------------------------------------------------
 
-void Network::send(Message msg) {
+void ReliableCore::send(Message msg) {
+  const auto lk = guard();
   msg.transfer_id = next_transfer_++;
   ++stats_.sends;
   const bool reliable = msg.type != sim::MessageKind::kAck;
@@ -223,20 +268,20 @@ void Network::send(Message msg) {
     // timeline, its end the settle or abandonment.
     std::string name = "xfer:";
     name += sim::message_kind_name(msg.type);
-    span = tracer_->begin_span(queue_.now(), name, msg.src, msg.span);
+    span = tracer_->begin_span(now(), name, msg.src, msg.span);
     tracer_->arg(span, "dst",
                  static_cast<std::uint64_t>(static_cast<std::int64_t>(msg.dst)));
     tracer_->arg(span, "transfer", msg.transfer_id);
   }
   if (reliable && recording()) {
-    recorder_->record(msg.src, queue_.now(), obs::FlightEvent::kSend,
-                      msg.type, msg.dst, msg.version, msg.epoch);
+    recorder_->record(msg.src, now(), obs::FlightEvent::kSend, msg.type,
+                      msg.dst, msg.version, msg.epoch);
   }
   transmit(msg);
   if (reliable) {
     Transfer& t = transfers_[slot];
     t.id = msg.transfer_id;
-    recycle_payload(std::move(t.msg.entries));  // retire previous payload
+    pool_payload(std::move(t.msg.entries));  // retire previous payload
     t.msg = std::move(msg);
     t.attempts = 1;
     t.span = span;
@@ -245,34 +290,55 @@ void Network::send(Message msg) {
   }
 }
 
-void Network::crash(NodeId node) {
-  if (recording()) {
-    recorder_->record(node, queue_.now(), obs::FlightEvent::kCrash,
-                      sim::MessageKind::kCount, -1);
-  }
-  set_flag(crashed_, node, true);
-  // A crashed node's wedged process dies with the host: discard the
-  // parked backlog instead of delivering it to a corpse on resume.
-  set_flag(stalled_, node, false);
+void ReliableCore::drop_backlog(NodeId node) {
   if (node >= 0 && static_cast<std::size_t>(node) < stall_backlog_.size()) {
     backlog_count_ -= stall_backlog_[static_cast<std::size_t>(node)].size();
     stall_backlog_[static_cast<std::size_t>(node)].clear();
   }
 }
 
-void Network::stall(NodeId node) {
-  if (crashed(node)) return;  // dead beats wedged
+void ReliableCore::crash(NodeId node) {
+  const auto lk = guard();
   if (recording()) {
-    recorder_->record(node, queue_.now(), obs::FlightEvent::kStall,
+    recorder_->record(node, now(), obs::FlightEvent::kCrash,
+                      sim::MessageKind::kCount, -1);
+  }
+  set_flag(crashed_, node, true);
+  // A crashed node's wedged process dies with the host: discard the
+  // parked backlog instead of delivering it to a corpse on resume.
+  set_flag(stalled_, node, false);
+  drop_backlog(node);
+}
+
+bool ReliableCore::crashed(NodeId node) const {
+  const auto lk = guard();
+  return flag(crashed_, node);
+}
+
+bool ReliableCore::stalled(NodeId node) const {
+  const auto lk = guard();
+  return flag(stalled_, node);
+}
+
+void ReliableCore::stall(NodeId node) {
+  const auto lk = guard();
+  if (flag(crashed_, node)) return;  // dead beats wedged
+  if (recording()) {
+    recorder_->record(node, now(), obs::FlightEvent::kStall,
                       sim::MessageKind::kCount, -1);
   }
   set_flag(stalled_, node, true);
 }
 
-void Network::resume(NodeId node) {
-  if (!stalled(node)) return;
+void ReliableCore::resume(NodeId node) {
+  const auto lk = guard();
+  resume_node(node);
+}
+
+void ReliableCore::resume_node(NodeId node) {
+  if (!flag(stalled_, node)) return;
   if (recording()) {
-    recorder_->record(node, queue_.now(), obs::FlightEvent::kResume,
+    recorder_->record(node, now(), obs::FlightEvent::kResume,
                       sim::MessageKind::kCount, -1);
   }
   set_flag(stalled_, node, false);
@@ -289,45 +355,56 @@ void Network::resume(NodeId node) {
   for (Message& msg : backlog) receive(std::move(msg));
 }
 
-void Network::resume_all() {
+void ReliableCore::resume_all() {
+  const auto lk = guard();
   // Deterministic drain order: ascending node id (the dense bitmap's
-  // natural scan order -- previously an explicit sort over a hash set).
+  // natural scan order).
   for (std::size_t n = 0; n < stalled_.size(); ++n) {
-    if (stalled_[n] != 0) resume(static_cast<NodeId>(n));
+    if (stalled_[n] != 0) resume_node(static_cast<NodeId>(n));
   }
 }
 
-void Network::begin_loss_burst(double extra_drop) {
+void ReliableCore::begin_loss_burst(double extra_drop) {
+  const auto lk = guard();
   loss_bursts_.push_back(extra_drop);
 }
 
-void Network::end_loss_burst(double extra_drop) {
-  const auto it =
-      std::find(loss_bursts_.begin(), loss_bursts_.end(), extra_drop);
-  if (it != loss_bursts_.end()) loss_bursts_.erase(it);
+void ReliableCore::end_loss_burst(double extra_drop) {
+  const auto lk = guard();
+  close_window(loss_bursts_, extra_drop);
 }
 
-void Network::begin_latency_spike(double factor) {
+void ReliableCore::begin_latency_spike(double factor) {
+  const auto lk = guard();
   latency_spikes_.push_back(factor);
 }
 
-void Network::end_latency_spike(double factor) {
-  const auto it =
-      std::find(latency_spikes_.begin(), latency_spikes_.end(), factor);
-  if (it != latency_spikes_.end()) latency_spikes_.erase(it);
+void ReliableCore::end_latency_spike(double factor) {
+  const auto lk = guard();
+  close_window(latency_spikes_, factor);
 }
 
-void Network::begin_duplication(double probability) {
+void ReliableCore::begin_duplication(double probability) {
+  const auto lk = guard();
   duplications_.push_back(probability);
 }
 
-void Network::end_duplication(double probability) {
-  const auto it =
-      std::find(duplications_.begin(), duplications_.end(), probability);
-  if (it != duplications_.end()) duplications_.erase(it);
+void ReliableCore::end_duplication(double probability) {
+  const auto lk = guard();
+  close_window(duplications_, probability);
 }
 
-void Network::revive(NodeId node) {
+void ReliableCore::set_link_filter(LinkFilter up) {
+  const auto lk = guard();
+  link_up_ = std::move(up);
+}
+
+void ReliableCore::clear_link_filter() {
+  const auto lk = guard();
+  link_up_ = nullptr;
+}
+
+void ReliableCore::revive(NodeId node) {
   // A recycled id is a brand-new endpoint: it must not inherit its
   // predecessor's unsettled transfers either.  A reliable transfer still
   // armed from the dead predecessor's era would otherwise retransmit into
@@ -337,10 +414,13 @@ void Network::revive(NodeId node) {
   // abandon handler still observes which side died and can re-ship
   // authoritative content from a live witness.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> stale;
-  for (std::uint32_t slot = 0; slot < transfers_.size(); ++slot) {
-    const Transfer& t = transfers_[slot];
-    if (t.id != 0 && (t.msg.src == node || t.msg.dst == node)) {
-      stale.emplace_back(t.id, slot);
+  {
+    const auto lk = guard();
+    for (std::uint32_t slot = 0; slot < transfers_.size(); ++slot) {
+      const Transfer& t = transfers_[slot];
+      if (t.id != 0 && (t.msg.src == node || t.msg.dst == node)) {
+        stale.emplace_back(t.id, slot);
+      }
     }
   }
   // Abandon in ascending transfer-id order: the abandon handler may send
@@ -348,51 +428,59 @@ void Network::revive(NodeId node) {
   // the run, not of the slot table's recycling history.
   std::sort(stale.begin(), stale.end());
   for (const auto& [id, slot] : stale) {
-    if (transfers_[slot].id != id) continue;  // settled by a handler's send
-    queue_.cancel(transfers_[slot].timer);
-    abandon_transfer(slot);
+    Message msg;
+    {
+      const auto lk = guard();
+      Transfer* t = live_transfer(slot, id);
+      if (t == nullptr) continue;  // settled by an ack or a handler's send
+      cancel_retransmit(t->timer);
+      msg = take_abandoned(slot);
+    }
+    invoke(Upcall::kAbandon, msg);  // outside the lock: it may send
+    recycle_payload(std::move(msg.entries));
   }
+  const auto lk = guard();
   set_flag(crashed_, node, false);
   // ... nor its predecessor's dedup history, stall window, or flight-
   // recorder ring (the ring is per-endpoint history; a recycled id is a
   // different endpoint).
   if (!orphans_.empty()) orphans_.erase_dst(node);
   set_flag(stalled_, node, false);
-  if (node >= 0 && static_cast<std::size_t>(node) < stall_backlog_.size()) {
-    backlog_count_ -= stall_backlog_[static_cast<std::size_t>(node)].size();
-    stall_backlog_[static_cast<std::size_t>(node)].clear();
-  }
+  drop_backlog(node);
   if (recorder_ != nullptr) recorder_->reset_node(node);
 }
 
-void Network::abandon_transfer(std::uint32_t slot) {
+Message ReliableCore::take_abandoned(std::uint32_t slot) {
   Transfer& t = transfers_[slot];
   ++stats_.abandoned;
   metrics_.record_transfer_attempts(t.attempts);
   if (tracing() && t.span != obs::kNoSpan) {
     tracer_->arg(t.span, "attempts", t.attempts);
     tracer_->arg(t.span, "abandoned", std::uint64_t{1});
-    tracer_->end_span(t.span, queue_.now());
+    tracer_->end_span(t.span, now());
   }
   if (recording()) {
-    recorder_->record(t.msg.src, queue_.now(), obs::FlightEvent::kAbandon,
+    recorder_->record(t.msg.src, now(), obs::FlightEvent::kAbandon,
                       t.msg.type, t.msg.dst, t.msg.version, t.msg.epoch);
   }
   // The settling ack will never come; the delivered bit dies with the
   // slot, which keeps the dedup state bounded by the in-flight count.
   Message msg = std::move(t.msg);
   free_slot(slot);
-  // Tell the application layer last: the handler may send afresh (and may
-  // reoccupy this very slot -- `t` is dead past this point).
-  if (abandon_) abandon_(msg);
-  recycle_payload(std::move(msg.entries));
+  return msg;
 }
 
 // ---------------------------------------------------------------------------
 // Wire
 // ---------------------------------------------------------------------------
 
-void Network::transmit(const Message& msg) {
+double ReliableCore::sample_delay() {
+  double delay = config_.latency.sample(rng_);
+  for (const double factor : latency_spikes_) delay *= factor;
+  return delay;
+}
+
+void ReliableCore::transmit(const Message& msg) {
   ++stats_.transmissions;
   metrics_.count_message(msg.type);
   metrics_.count_wire_bytes(msg.type, net::wire_frame_size(msg));
@@ -401,19 +489,15 @@ void Network::transmit(const Message& msg) {
   const bool link_down = link_up_ && !link_up_(msg.src, msg.dst);
   const double drop = effective_drop();
   if (link_down || (drop > 0.0 && rng_.chance(drop))) {
+    // Lost before any bytes exist: the wire never sees it.
     ++stats_.dropped;
     if (recording() && msg.type != sim::MessageKind::kAck) {
-      recorder_->record(msg.src, queue_.now(), obs::FlightEvent::kDrop,
-                        msg.type, msg.dst, msg.version, msg.epoch);
+      recorder_->record(msg.src, now(), obs::FlightEvent::kDrop, msg.type,
+                        msg.dst, msg.version, msg.epoch);
     }
     return;
   }
-  double delay = config_.latency.sample(rng_);
-  for (const double factor : latency_spikes_) delay *= factor;
-  // One payload copy per wire attempt (the closure capture); arrive()
-  // consumes it by move and recycles the vector into the draft pool.
-  queue_.schedule(delay,
-                  [this, m = msg]() mutable { arrive(std::move(m)); });
+  carry(msg, sample_delay());
   if (!duplications_.empty()) {
     // Duplication window: the strongest open window's probability wins
     // (overlapping windows model one flaky path, not independent copies).
@@ -421,57 +505,36 @@ void Network::transmit(const Message& msg) {
         *std::max_element(duplications_.begin(), duplications_.end());
     if (dup > 0.0 && rng_.chance(dup)) {
       ++stats_.injected_duplicates;
-      double dup_delay = config_.latency.sample(rng_);
-      for (const double factor : latency_spikes_) dup_delay *= factor;
-      queue_.schedule(dup_delay,
-                      [this, m = msg]() mutable { arrive(std::move(m)); });
+      carry(msg, sample_delay());
     }
   }
 }
 
-void Network::arrive(Message msg) {
+void ReliableCore::arrive(Message msg) {
+  const auto lk = guard();
   if (msg.type == sim::MessageKind::kAck) {
-    // Transport-internal: settle the acknowledged transfer.  This runs
-    // even when the original sender has crashed since -- the pending
-    // entry is sender-side transport state that must not retransmit
-    // forever on behalf of a dead node.  Acks also settle for a stalled
-    // sender: the transport state machine lives below the wedged process.
-    if (Transfer* t = live_transfer(msg.transfer_slot, msg.transfer_id)) {
-      metrics_.record_transfer_attempts(t->attempts);
-      if (tracing() && t->span != obs::kNoSpan) {
-        tracer_->arg(t->span, "attempts", t->attempts);
-        tracer_->end_span(t->span, queue_.now());
-      }
-      queue_.cancel(t->timer);
-      free_slot(msg.transfer_slot);
-    }
-    // Prune any orphan dedup record (the transfer can have been re-
-    // delivered after an earlier settle -- see receive()).  A
-    // retransmission still in flight when the ack settles can then be
-    // delivered a second time -- rare, and every protocol message is
-    // idempotent at the application layer (versioned updates,
-    // exactly-once join chains).
-    if (!orphans_.empty()) orphans_.erase(msg.transfer_id);
+    settle(msg);
+    pool_payload(std::move(msg.entries));
     return;
   }
-  if (crashed(msg.dst)) {
+  if (flag(crashed_, msg.dst)) {
     ++stats_.dropped;
     if (recording()) {
-      recorder_->record(msg.dst, queue_.now(), obs::FlightEvent::kDrop,
-                        msg.type, msg.src, msg.version, msg.epoch);
+      recorder_->record(msg.dst, now(), obs::FlightEvent::kDrop, msg.type,
+                        msg.src, msg.version, msg.epoch);
     }
-    recycle_payload(std::move(msg.entries));
+    pool_payload(std::move(msg.entries));
     return;
   }
-  if (stalled(msg.dst)) {
+  if (flag(stalled_, msg.dst)) {
     // Gray failure: the packet reached the host, but the wedged process
     // cannot run its receive handler -- so no ack either.  The sender's
     // failure detector sees exactly what a crash looks like; only time
     // (resume before its patience runs out) tells the two apart.
     ++stats_.stalled_deferred;
     if (recording()) {
-      recorder_->record(msg.dst, queue_.now(), obs::FlightEvent::kParked,
-                        msg.type, msg.src, msg.version, msg.epoch);
+      recorder_->record(msg.dst, now(), obs::FlightEvent::kParked, msg.type,
+                        msg.src, msg.version, msg.epoch);
     }
     const auto idx = static_cast<std::size_t>(msg.dst);
     if (idx >= stall_backlog_.size()) stall_backlog_.resize(idx + 1);
@@ -482,7 +545,29 @@ void Network::arrive(Message msg) {
   receive(std::move(msg));
 }
 
-void Network::receive(Message msg) {
+void ReliableCore::settle(const Message& ack) {
+  // This runs even when the original sender has crashed since -- the
+  // pending entry is sender-side transport state that must not
+  // retransmit forever on behalf of a dead node.  Acks also settle for a
+  // stalled sender: the transport state machine lives below the wedged
+  // process.
+  if (Transfer* t = live_transfer(ack.transfer_slot, ack.transfer_id)) {
+    metrics_.record_transfer_attempts(t->attempts);
+    if (tracing() && t->span != obs::kNoSpan) {
+      tracer_->arg(t->span, "attempts", t->attempts);
+      tracer_->end_span(t->span, now());
+    }
+    cancel_retransmit(t->timer);
+    free_slot(ack.transfer_slot);
+  }
+  // Prune any orphan dedup record (the transfer can have been re-
+  // delivered after an earlier settle -- see receive()).  A
+  // retransmission still in flight when the ack settles can then be
+  // delivered a second time: the at-least-once case of the contract.
+  if (!orphans_.empty()) orphans_.erase(ack.transfer_id);
+}
+
+void ReliableCore::receive(Message msg) {
   // Acknowledge every reliable arrival, duplicates included (the previous
   // ack may be the thing that got lost).
   Message ack;
@@ -506,52 +591,60 @@ void Network::receive(Message msg) {
   if (!fresh) {
     ++stats_.duplicates;
     if (recording()) {
-      recorder_->record(msg.dst, queue_.now(), obs::FlightEvent::kDuplicate,
+      recorder_->record(msg.dst, now(), obs::FlightEvent::kDuplicate,
                         msg.type, msg.src, msg.version, msg.epoch);
     }
-    recycle_payload(std::move(msg.entries));
+    pool_payload(std::move(msg.entries));
     return;
   }
   ++stats_.delivered;
   if (recording()) {
-    recorder_->record(msg.dst, queue_.now(), obs::FlightEvent::kDeliver,
-                      msg.type, msg.src, msg.version, msg.epoch);
+    recorder_->record(msg.dst, now(), obs::FlightEvent::kDeliver, msg.type,
+                      msg.src, msg.version, msg.epoch);
   }
-  if (sink_) sink_(msg);
-  recycle_payload(std::move(msg.entries));
+  hand_up(Upcall::kDeliver, std::move(msg));
 }
 
-void Network::arm_timer(std::uint32_t slot) {
+void ReliableCore::hand_up(Upcall kind, Message&& msg) {
+  invoke(kind, msg);
+  pool_payload(std::move(msg.entries));
+}
+
+void ReliableCore::invoke(Upcall kind, const Message& msg) const {
+  const auto& handler = kind == Upcall::kDeliver ? sink_ : abandon_;
+  if (handler) handler(msg);
+}
+
+void ReliableCore::arm_timer(std::uint32_t slot) {
   Transfer& t = transfers_[slot];
   VORONET_DCHECK(t.id != 0);
-  const double timeout = backoff_timeout(t.id, t.attempts);
-  const std::uint64_t id = t.id;
-  t.timer = queue_.schedule_timer(timeout, [this, slot, id] {
-    on_timeout(slot, id);
-  });
+  t.timer = arm_retransmit(t.msg, backoff_timeout(t.id, t.attempts));
 }
 
-void Network::on_timeout(std::uint32_t slot, std::uint64_t transfer_id) {
+void ReliableCore::on_timeout(std::uint32_t slot, std::uint64_t transfer_id) {
+  const auto lk = guard();
   Transfer* t = live_transfer(slot, transfer_id);
   if (t == nullptr) return;  // acknowledged in the meantime
   // Give up when either endpoint crashed -- a crash-stop sender can never
   // resend, so its unacked transfers die with it -- or the retry cap hit.
   const bool give_up =
-      crashed(t->msg.dst) || crashed(t->msg.src) ||
+      flag(crashed_, t->msg.dst) || flag(crashed_, t->msg.src) ||
       (config_.max_retries > 0 && t->attempts > config_.max_retries);
   if (give_up) {
-    abandon_transfer(slot);
+    // Tell the application layer last: the handler may send afresh (and
+    // may reoccupy this very slot).
+    hand_up(Upcall::kAbandon, take_abandoned(slot));
     return;
   }
   ++t->attempts;
   ++stats_.retransmits;
   if (tracing() && t->span != obs::kNoSpan) {
-    const obs::SpanId i = tracer_->instant(queue_.now(), "retransmit",
-                                           t->msg.src, t->span);
+    const obs::SpanId i =
+        tracer_->instant(now(), "retransmit", t->msg.src, t->span);
     tracer_->arg(i, "attempt", t->attempts);
   }
   if (recording()) {
-    recorder_->record(t->msg.src, queue_.now(), obs::FlightEvent::kRetransmit,
+    recorder_->record(t->msg.src, now(), obs::FlightEvent::kRetransmit,
                       t->msg.type, t->msg.dst, t->msg.version, t->msg.epoch);
   }
   transmit(t->msg);

@@ -2,24 +2,32 @@
 //
 // Everything above the wire -- ProtocolHarness, the query engine, the
 // serving front-end, the obs hooks -- talks to this interface and never
-// to a concrete backend.  Two implementations exist:
+// to a concrete backend.  Every backend runs the one reliable-delivery
+// core (reliable_core.hpp) over its own wire:
 //
 //   * SimTransport (sim_transport.hpp): the deterministic discrete-event
-//     backend -- protocol::Network driven by sim::EventQueue.  Same
-//     scenario + seed => bit-identical runs; every committed golden
-//     replay pins that this seam did not move the sim semantics.
+//     wire -- sim::EventQueue.  Same scenario + seed => bit-identical
+//     runs; every committed golden replay pins the sim semantics.
 //   * ThreadTransport (thread_transport.hpp): in-process actor threads
 //     with per-node MPSC mailboxes and real monotonic-clock timers.
 //     Wall-clock time, genuinely concurrent, NOT deterministic.
+//   * SocketTransport (net/socket_transport.hpp): codec frames through
+//     kernel sockets, driven by a poll loop.  Also NOT deterministic.
 //
-// The contract both backends satisfy (tests/transport_conformance_test
-// runs the suite against each, so a third backend -- sockets -- has a
-// ready-made gate):
+// The contract every backend satisfies (tests/transport_conformance_test
+// runs the suite against each):
 //
-//   * reliable delivery: every non-ack send() reaches the sink exactly
-//     once, or is handed to the abandon handler (crashed endpoint /
-//     retry cap) -- never both, never neither (stall windows excepted:
-//     a parked copy may deliver after an abandon once the node resumes);
+//   * reliable delivery: every non-ack send() reaches the sink, or is
+//     handed to the abandon handler (crashed endpoint / retry cap).  It
+//     reaches the sink exactly once under loss alone with the derived
+//     RTO, and at least once when a retransmission is still in flight
+//     at settle: the settle prunes the orphan dedup record, so that
+//     copy can deliver again, and every protocol message is idempotent
+//     above.  That happens under injected duplication, with an
+//     explicit RTO below the round trip, and when the jittered derived
+//     RTO falls below it (one-way latency beyond ~35 ms at the default
+//     jitter).  Stall windows aside (a parked copy may deliver after an
+//     abandon once the node resumes), never both, never neither;
 //   * dedup: retransmission duplicates are suppressed by the live
 //     transfer's delivered bit plus a bounded orphan window, so dedup
 //     state is bounded by in_flight() + kOrphanDedupCapacity;
@@ -32,8 +40,8 @@
 //     flight-recorder residue -- a recycled id inherits nothing.
 //
 // What is NOT universal: determinism (SimTransport only), and the
-// degradation windows / link filters, which ThreadTransport honours on
-// a best-effort wall-clock basis (a window "ends" when the driver says
+// degradation windows / link filters, which the wall-clock backends
+// honour on a best-effort basis (a window "ends" when the driver says
 // so, not at a virtual instant).
 #pragma once
 
@@ -167,7 +175,7 @@ class Transport {
   // --- Clock & driving -----------------------------------------------------
   //
   // now() is the backend's native clock: virtual seconds (SimTransport)
-  // or monotonic wall seconds since construction (ThreadTransport).
+  // or monotonic wall seconds since construction (thread, socket).
   // schedule() runs `fn` on the driving thread at now() + delay; the
   // protocol layer's own timers ride this one channel on every backend.
 
@@ -201,7 +209,8 @@ class Transport {
 
   [[nodiscard]] virtual sim::Metrics& metrics() = 0;
   [[nodiscard]] virtual const sim::Metrics& metrics() const = 0;
-  [[nodiscard]] virtual const NetworkStats& stats() const = 0;
+  /// A snapshot (the concurrent backends copy it under their lock).
+  [[nodiscard]] virtual NetworkStats stats() const = 0;
   [[nodiscard]] virtual const NetworkConfig& config() const = 0;
   [[nodiscard]] virtual double retransmit_timeout() const = 0;
 

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "protocol/network.hpp"
+#include "protocol/sim_transport.hpp"
 #include "workload/distributions.hpp"
 
 namespace voronet::protocol {
@@ -231,10 +231,10 @@ TEST(ProtocolEngine, ReviveAbandonsPredecessorEraTransfers) {
   // cleared the dedup table, so a predecessor-era retransmission was
   // delivered to the brand-new endpoint (receiver side), and a dead
   // sender's unacked transfers came back to life with the recycled id.
-  sim::EventQueue queue;
   NetworkConfig config;
   config.latency = LatencyModel::fixed(0.05);
-  Network net(queue, config);
+  SimTransport net(config);
+  sim::EventQueue& queue = net.queue();
   std::size_t delivered = 0;
   std::vector<Message> abandoned;
   net.set_sink([&](const Message&) { ++delivered; });
@@ -283,7 +283,7 @@ TEST(ProtocolEngine, ReviveAbandonsPredecessorEraTransfers) {
 }
 
 TEST(ProtocolEngine, RecycledIdInheritsNoPredecessorTransfers) {
-  // Regression: Network::revive() cleared the recycled id's receiver-side
+  // Regression: revive() cleared the recycled id's receiver-side
   // dedup but left predecessor-era reliable transfers armed, so a
   // retransmission addressed to (or sent by) the dead predecessor could
   // deliver stale view content to the brand-new endpoint -- content with

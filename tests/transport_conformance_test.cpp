@@ -1,15 +1,17 @@
-// Transport conformance: the seam contract, proven against BOTH backends.
+// Transport conformance: the seam contract, proven against every backend.
 //
-// Every test in this file runs twice -- once over SimTransport (the
-// deterministic event-queue simulation) and once over ThreadTransport
-// (real shard threads, monotonic-clock deadlines).  The assertions are
-// the transport contract of protocol/transport.hpp: exactly-once
-// delivery under loss and duplication, bounded dedup state, capped
-// retransmission with give-up, stall parking, and crash/revive residue
-// clearing.  Where a quantity is scheduling-dependent (which copy wins a
-// duplicate race) the tests assert the invariant, not the schedule;
-// where it is schedule-independent (wire attempt counts under total
-// loss) they pin the exact number on both backends.
+// Every test in this file runs three times -- over SimTransport (the
+// deterministic event-queue simulation), over ThreadTransport (real
+// shard threads, monotonic-clock deadlines) and over SocketTransport
+// (codec frames through a loopback Unix-domain socket).  The assertions
+// are the transport contract of protocol/transport.hpp: exactly-once
+// delivery under loss, at-least-once under duplication, bounded dedup
+// state, capped retransmission with give-up, partition and heal, stall
+// parking, and crash/revive residue clearing.  Where a quantity is
+// scheduling-dependent (which copy wins a duplicate race) the tests
+// assert the invariant, not the schedule; where it is schedule-
+// independent (wire attempt counts under total loss) they pin the exact
+// number on every backend.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -123,7 +125,7 @@ TEST_P(TransportConformance, DedupSuppressesDuplicatesWithinBoundedWindow) {
 
   // Under injected duplication the contract is at-least-once: a copy
   // still in flight when the ack settles may re-deliver (the settle
-  // prunes the orphan record -- see Network::arrive), and the layer
+  // prunes the orphan record -- see ReliableCore::settle), and the layer
   // above is idempotent.  What the transport DOES guarantee: every
   // message arrives, the dedup machinery visibly suppresses the bulk of
   // the copies, and its state stays bounded.
@@ -184,6 +186,68 @@ TEST_P(TransportConformance, RetransmitsWithBackoffThenGivesUpUnderTotalLoss) {
   const double rto = t->retransmit_timeout();
   EXPECT_GE(t->now(), rto * (1.0 + config.backoff_factor) *
                           (1.0 - config.jitter / 2.0));
+}
+
+TEST_P(TransportConformance, PartitionThenHealDeliversEveryMessageOnce) {
+  NetworkConfig config;
+  config.latency = LatencyModel::fixed(0.001);
+  auto t = make(config);
+  // Two sides, {0..3} and {4..7}: links within a side stay up, links
+  // across it go down until the heal.
+  const auto side = [](NodeId n) { return n < 4; };
+  const auto crosses = [&](const Message& m) {
+    return side(m.src) != side(m.dst);
+  };
+  bool healed = false;
+
+  std::map<std::uint64_t, int> seen;  // version -> deliveries
+  t->set_sink([&](const Message& m) {
+    EXPECT_TRUE(healed || !crosses(m))
+        << "version " << m.version << " crossed the partition";
+    ++seen[m.version];
+  });
+  t->set_abandon_handler([](const Message&) { FAIL() << "nothing may fail"; });
+  t->set_link_filter(
+      [side](NodeId src, NodeId dst) { return side(src) == side(dst); });
+
+  constexpr std::uint64_t kMessages = 40;
+  std::size_t across = 0;
+  for (std::uint64_t i = 0; i < kMessages; ++i) {
+    Message m = t->draft();
+    m.type = sim::MessageKind::kVoronoiUpdate;
+    m.src = static_cast<NodeId>(i % 8);
+    m.dst = static_cast<NodeId>((i + 3) % 8);
+    m.version = i;
+    if (crosses(m)) ++across;
+    t->send(std::move(m));
+  }
+  ASSERT_GT(across, 0u);
+  ASSERT_LT(across, kMessages);
+
+  // Hold the partition across several retransmit windows: traffic
+  // within a side settles, traffic across it keeps retrying.
+  (void)t->run_until(0.05);
+  await(*t, [&] { return t->in_flight() == across; });
+  EXPECT_EQ(t->stats().abandoned, 0u);
+
+  healed = true;
+  t->clear_link_filter();
+  const auto run = t->run_to_idle();
+  ASSERT_FALSE(run.budget_exhausted) << "backend: " << t->backend_name();
+
+  ASSERT_EQ(seen.size(), kMessages);
+  for (const auto& [version, count] : seen) {
+    EXPECT_EQ(count, 1) << "version " << version << " on "
+                        << t->backend_name();
+  }
+  EXPECT_EQ(t->in_flight(), 0u);
+  EXPECT_EQ(t->stats().abandoned, 0u);
+  EXPECT_EQ(t->stats().delivered, kMessages);
+  EXPECT_GT(t->stats().retransmits, 0u);
+  // Every first attempt across the partition died on the down link, so
+  // each of those transfers needed at least one retransmission.
+  EXPECT_GE(t->stats().retransmits, across);
+  EXPECT_GE(t->stats().dropped, across);
 }
 
 TEST_P(TransportConformance, StallParksArrivalsAndResumeDeliversOnce) {
