@@ -1,9 +1,9 @@
 // bench_serve: open-loop serving latency through the transport seam.
 //
 // Grows one overlay per backend, mounts the serving front-end
-// (src/serve: admission + batched covering floods + churn-invalidated
-// cache) and drives it with an open-loop Poisson query stream at a sweep
-// of arrival rates.  The headline cells run on ThreadTransport -- real
+// (src/serve: churn-invalidated cache + admission + one region flood per
+// admitted query) and drives it with an open-loop Poisson query stream at
+// a sweep of arrival rates.  The headline cells run on ThreadTransport -- real
 // threads, real monotonic-clock latencies, so p50/p99 are wall-clock
 // serving numbers -- with one SimTransport cell as the deterministic
 // cross-check (same serving code, virtual clock) and one churn cell
@@ -205,7 +205,6 @@ Json cell_json(const Cell& cell) {
   j.set("completion_rate", Json::number(r.completion_rate));
   j.set("cache_hits", Json::integer(r.cache_hits));
   j.set("batches", Json::integer(r.batches));
-  j.set("mean_batch", Json::number(r.mean_batch));
   j.set("p50_s", Json::number(r.p50));
   j.set("p99_s", Json::number(r.p99));
   j.set("max_s", Json::number(r.max_latency));
@@ -257,7 +256,7 @@ int main(int argc, char** argv) try {
                       objects, rates[0], duration, args.seed + 3));
 
   stats::Table table({"cell", "rate", "offered", "completed", "rejected",
-                      "cache", "batches", "mean_batch", "p50 ms", "p99 ms",
+                      "cache", "batches", "p50 ms", "p99 ms",
                       "graded", "recall", "precision"});
   for (const Cell& c : cells) {
     const serve::LoadReport& r = c.report;
@@ -267,7 +266,6 @@ int main(int argc, char** argv) try {
                    stats::Table::cell(static_cast<std::size_t>(r.rejected)),
                    stats::Table::cell(static_cast<std::size_t>(r.cache_hits)),
                    stats::Table::cell(static_cast<std::size_t>(r.batches)),
-                   stats::Table::cell(r.mean_batch, 2),
                    stats::Table::cell(r.p50 * 1e3, 3),
                    stats::Table::cell(r.p99 * 1e3, 3),
                    stats::Table::cell(static_cast<std::size_t>(r.graded)),

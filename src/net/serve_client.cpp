@@ -19,20 +19,10 @@ namespace voronet::net {
 
 namespace {
 
-constexpr std::size_t kReadChunk = std::size_t{1} << 16;
-constexpr std::size_t kCompactThreshold = std::size_t{1} << 16;
-
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 }  // namespace
@@ -174,13 +164,7 @@ bool ServeClient::pump(double timeout_s, ServeKind wait_for, ServeFrame* reply,
                                  decode_status_name(st) + " (" + diag + ")");
       }
       in_off_ += consumed;
-      if (in_off_ == in_.size()) {
-        in_.clear();
-        in_off_ = 0;
-      } else if (in_off_ >= kCompactThreshold) {
-        in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(in_off_));
-        in_off_ = 0;
-      }
+      compact_consumed(in_, in_off_);
       if (frame.kind == ServeKind::kAnswer) {
         if (outstanding_ > 0) --outstanding_;
         if (answers != nullptr) ++*answers;
@@ -203,17 +187,7 @@ bool ServeClient::pump(double timeout_s, ServeKind wait_for, ServeFrame* reply,
         std::max(1, static_cast<int>(std::min(remaining, 0.1) * 1000.0));
     const int n = ::poll(&pfd, 1, timeout_ms);
     if (n <= 0) continue;
-    for (;;) {
-      const std::size_t old = in_.size();
-      in_.resize(old + kReadChunk);
-      const ssize_t got = ::read(fd_, in_.data() + old, kReadChunk);
-      if (got > 0) {
-        in_.resize(old + static_cast<std::size_t>(got));
-        if (static_cast<std::size_t>(got) < kReadChunk) break;
-        continue;
-      }
-      in_.resize(old);
-      if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (!read_available(fd_, in_)) {
       throw std::runtime_error("serve client: server closed the connection");
     }
   }
@@ -226,40 +200,9 @@ bool ServeClient::pump(double timeout_s, ServeKind wait_for, ServeFrame* reply,
 serve::LoadReport run_open_loop_remote(ServeClient& client,
                                        const serve::LoadConfig& config,
                                        ServeFrame* server_report) {
-  if (config.rate <= 0.0 || config.duration <= 0.0) {
-    throw std::runtime_error("open loop remote: non-positive rate/duration");
-  }
-  Rng rng(config.seed);
-  const Vec2 hotspot{rng.uniform(0.25, 0.75), rng.uniform(0.25, 0.75)};
-
-  // The identical draw sequence as serve::run_open_loop, so a remote
-  // cell offers the same arrival process as an in-process one.
-  struct Arrival {
-    double t = 0.0;
-    bool range = false;
-    Vec2 a, b;
-    double tol = 0.0;
-  };
-  std::vector<Arrival> arrivals;
-  for (double t = rng.exponential(config.rate); t < config.duration;
-       t += rng.exponential(config.rate)) {
-    const bool hot = rng.chance(config.hotspot_fraction);
-    const bool range = rng.chance(config.range_fraction);
-    const Vec2 base = hot ? hotspot
-                          : Vec2{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-    Arrival a;
-    a.t = t;
-    a.range = range;
-    a.a = {base.x + rng.uniform(-0.02, 0.02),
-           base.y + rng.uniform(-0.02, 0.02)};
-    if (range) {
-      a.b = {a.a.x + rng.uniform(-0.1, 0.1), a.a.y + rng.uniform(-0.1, 0.1)};
-      a.tol = config.range_tol;
-    } else {
-      a.tol = config.radius;
-    }
-    arrivals.push_back(a);
-  }
+  // serve::run_open_loop's schedule, so a remote cell offers the same
+  // arrival process as an in-process one.
+  const std::vector<serve::Arrival> arrivals = serve::draw_arrivals(config);
 
   std::unordered_map<std::uint64_t, double> sent_at;
   std::vector<double> latencies;
@@ -270,7 +213,7 @@ serve::LoadReport run_open_loop_remote(ServeClient& client,
     latencies.push_back(seconds_since(start) - it->second);
   });
 
-  for (const Arrival& a : arrivals) {
+  for (const serve::Arrival& a : arrivals) {
     // Pace on the wall clock, draining answers while we wait -- arrivals
     // never block on responses (the open-loop discipline).
     for (;;) {
@@ -302,24 +245,8 @@ serve::LoadReport run_open_loop_remote(ServeClient& client,
   report.completed = rf.completed;
   report.cache_hits = rf.cache_hits;
   report.batches = rf.batches;
-  report.mean_batch = rf.batches == 0
-                          ? 0.0
-                          : static_cast<double>(rf.batch_members) /
-                                static_cast<double>(rf.batches);
-  report.completion_rate =
-      report.offered == 0 ? 1.0
-                          : static_cast<double>(report.completed) /
-                                static_cast<double>(report.offered);
   report.drained = rf.drained && client.outstanding() == 0;
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    report.p50 = percentile(latencies, 0.50);
-    report.p99 = percentile(latencies, 0.99);
-    report.max_latency = latencies.back();
-    double sum = 0.0;
-    for (const double l : latencies) sum += l;
-    report.mean_latency = sum / static_cast<double>(latencies.size());
-  }
+  serve::summarize(latencies, report);
   report.graded = rf.graded;
   report.recall = rf.recall;
   report.precision = rf.precision;

@@ -91,7 +91,7 @@ class ServeClient {
 /// wall clock, with per-query latency measured submit -> answer.  The
 /// returned LoadReport merges client-side fields (offered, latency
 /// distribution, completion) with the server's post-drain report
-/// (admission / batching stats, grading, drained); `server_report`
+/// (admission / flood stats, grading, drained); `server_report`
 /// (when non-null) additionally receives the raw kReport frame -- the
 /// overlay-internal wire_bytes live there.
 serve::LoadReport run_open_loop_remote(ServeClient& client,

@@ -9,19 +9,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "protocol/flat_map.hpp"
-#include "voronet/queries.hpp"
+#include "serve/open_loop.hpp"
 
 namespace voronet::net {
-
-namespace {
-
-/// Reclaim a reassembly buffer's consumed prefix once it dominates the
-/// buffer (same policy as SocketTransport's inbound path).
-constexpr std::size_t kCompactThreshold = std::size_t{1} << 16;
-constexpr std::size_t kReadChunk = std::size_t{1} << 16;
-
-}  // namespace
 
 ServedShard::ServedShard(const ServedConfig& config) : config_(config) {
   protocol::HarnessConfig hc;
@@ -78,8 +68,8 @@ std::uint64_t ServedShard::serve() {
     }
     const int n = ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/1);
     if (n > 0) {
-      if ((pfds[0].revents & POLLIN) != 0) accept_clients();
-      for (std::size_t i = 0; i < clients_.size(); ++i) {
+      // Only the clients polled above have a pfds slot; accept after.
+      for (std::size_t i = 0; i + 1 < pfds.size(); ++i) {
         Client& c = clients_[i];
         const short re = pfds[i + 1].revents;
         bool alive = true;
@@ -94,9 +84,10 @@ std::uint64_t ServedShard::serve() {
         }
       }
       std::erase_if(clients_, [](const Client& c) { return c.fd < 0; });
+      if ((pfds[0].revents & POLLIN) != 0) accept_clients();
     }
-    // ... then one drive slice of the harness (protocol upcalls, batch
-    // timers, flood completions all run here, on this thread) ...
+    // ... then one drive slice of the harness (protocol upcalls and
+    // flood completions all run here, on this thread) ...
     harness.run_until(harness.network().now() + config_.slice);
     // ... then ship every answer that slice produced.
     sweep_answers();
@@ -123,21 +114,7 @@ void ServedShard::accept_clients() {
 }
 
 bool ServedShard::read_client(Client& client) {
-  bool closed = false;
-  for (;;) {
-    const std::size_t old = client.in.size();
-    client.in.resize(old + kReadChunk);
-    const ssize_t got = ::read(client.fd, client.in.data() + old, kReadChunk);
-    if (got > 0) {
-      client.in.resize(old + static_cast<std::size_t>(got));
-      if (static_cast<std::size_t>(got) < kReadChunk) break;
-      continue;
-    }
-    client.in.resize(old);
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    closed = true;  // EOF or hard error
-    break;
-  }
+  const bool closed = !read_available(client.fd, client.in);
   for (;;) {
     ServeFrame frame;
     std::size_t consumed = 0;
@@ -156,15 +133,7 @@ bool ServedShard::read_client(Client& client) {
     client.in_off += consumed;
     if (!handle_frame(client, frame)) return false;
   }
-  if (client.in_off == client.in.size()) {
-    client.in.clear();
-    client.in_off = 0;
-  } else if (client.in_off >= kCompactThreshold) {
-    client.in.erase(client.in.begin(),
-                    client.in.begin() +
-                        static_cast<std::ptrdiff_t>(client.in_off));
-    client.in_off = 0;
-  }
+  compact_consumed(client.in, client.in_off);
   // EOF means the client is gone: answers still pending for it are
   // swept to a dead serial and silently dropped (find_client misses).
   return !closed;
@@ -283,37 +252,11 @@ ServeFrame ServedShard::build_report(std::uint64_t request_id) {
   r.drained = drained_;
   r.wire_bytes = harness.network().stats().wire_bytes;
 
-  // Grade exactly as serve::run_open_loop does: every ticket completed
-  // at the FINAL topology version against a roster scan through the one
-  // site predicate.
-  const std::uint64_t final_version = harness.topology_version();
-  const std::vector<protocol::NodeId>& roster = harness.roster();
-  protocol::FlatNodeMap<char> marks;
-  std::uint64_t truth_total = 0, hit_total = 0, match_total = 0;
-  for (const auto id : all_tickets_) {
-    const serve::QueryServer::Ticket& t = server_->ticket(id);
-    if (!t.done || t.rejected || t.completed_version != final_version) {
-      continue;
-    }
-    ++r.graded;
-    match_total += t.matches.size();
-    marks.clear();
-    marks.reserve(roster.size());
-    for (const protocol::NodeId m : t.matches) marks.insert(m, 1);
-    for (const protocol::NodeId n : roster) {
-      if (site_within_tolerance(t.spec.a, t.spec.b, harness.node(n).position(),
-                                t.spec.tol)) {
-        ++truth_total;
-        if (marks.find(n) != nullptr) ++hit_total;
-      }
-    }
-  }
-  r.recall = truth_total == 0 ? 1.0
-                              : static_cast<double>(hit_total) /
-                                    static_cast<double>(truth_total);
-  r.precision = match_total == 0 ? 1.0
-                                 : static_cast<double>(hit_total) /
-                                       static_cast<double>(match_total);
+  // Graded by the one grader serve::run_open_loop uses.
+  const serve::Grade g = serve::grade_tickets(harness, *server_, all_tickets_);
+  r.graded = g.graded;
+  r.recall = g.recall;
+  r.precision = g.precision;
   return r;
 }
 

@@ -3,12 +3,12 @@
 // This is the multi-process face of the serving layer: the shard owns a
 // populated ProtocolHarness (any transport backend for the overlay's
 // OWN wire traffic -- sim, thread, or socket) plus the src/serve
-// front-end (admission, batching, result cache), and listens on a Unix
+// front-end (admission, result cache), and listens on a Unix
 // or TCP socket speaking serve_wire frames.  External clients submit
 // radius / range queries and receive kAnswer frames with the exact
 // match sets; kGetReport drains the transport, grades every ticket
-// against the sequential ground truth (the same roster scan as
-// serve::run_open_loop), and ships the stats back.
+// against the sequential ground truth (serve::grade_tickets, the grader
+// of serve::run_open_loop), and ships the stats back.
 //
 // Concurrency model: run() IS the transport's driving thread.  The loop
 // alternates short poll() passes over the client sockets with short

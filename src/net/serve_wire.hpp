@@ -75,8 +75,8 @@ struct ServeFrame {
   std::uint64_t rejected_total = 0;
   std::uint64_t completed = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t batch_members = 0;
+  std::uint64_t batches = 0;        ///< region floods issued
+  std::uint64_t batch_members = 0;  ///< queries they served (one each)
   std::uint64_t graded = 0;
   double recall = 1.0;
   double precision = 1.0;

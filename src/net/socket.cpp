@@ -17,6 +17,9 @@ namespace voronet::net {
 
 namespace {
 
+/// Read granularity of read_available, and compact_consumed's threshold.
+constexpr std::size_t kReadChunk = std::size_t{1} << 16;
+
 [[nodiscard]] std::string errno_message(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
@@ -191,6 +194,30 @@ int accept_conn(int listen_fd) {
   }
   set_nodelay(fd);
   return fd;
+}
+
+bool read_available(int fd, std::vector<std::uint8_t>& buf) {
+  for (;;) {
+    const std::size_t old = buf.size();
+    buf.resize(old + kReadChunk);
+    const ssize_t got = ::read(fd, buf.data() + old, kReadChunk);
+    buf.resize(old + (got > 0 ? static_cast<std::size_t>(got) : 0));
+    if (got > 0) {
+      if (static_cast<std::size_t>(got) < kReadChunk) return true;
+      continue;
+    }
+    return got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+}
+
+void compact_consumed(std::vector<std::uint8_t>& buf, std::size_t& off) {
+  if (off == buf.size()) {
+    buf.clear();
+    off = 0;
+  } else if (off >= kReadChunk) {
+    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
+    off = 0;
+  }
 }
 
 }  // namespace voronet::net

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace voronet::net {
 
@@ -62,5 +63,20 @@ struct Address {
 
 /// O_NONBLOCK on an inherited fd; returns false on fcntl failure.
 bool set_nonblocking(int fd);
+
+// --- Framed-connection reassembly -------------------------------------------
+// Every framed connection in src/net (transport inbound, served client,
+// serve client) keeps a reassembly buffer plus the offset of its consumed
+// prefix; these two helpers are its read and reclaim halves.  Decoding
+// and the error policy stay with each caller.
+
+/// Append everything the nonblocking `fd` has ready to `buf`, reading
+/// until EAGAIN.  Returns false on EOF or a hard error; bytes read before
+/// it stay in `buf` (a complete frame followed by EOF is still a frame).
+[[nodiscard]] bool read_available(int fd, std::vector<std::uint8_t>& buf);
+
+/// Reclaim the consumed prefix [0, off) of `buf` once it is the whole
+/// buffer or has grown past one read chunk; resets `off` when it does.
+void compact_consumed(std::vector<std::uint8_t>& buf, std::size_t& off);
 
 }  // namespace voronet::net

@@ -18,9 +18,6 @@ namespace {
 
 constexpr std::size_t kMaxPooledFrame = 1u << 16;
 constexpr std::size_t kMaxFramePool = 256;
-/// Compact an inbound reassembly buffer once this much is consumed.
-constexpr std::size_t kCompactThreshold = 1u << 16;
-constexpr std::size_t kReadChunk = 1u << 16;
 
 }  // namespace
 
@@ -252,22 +249,8 @@ void SocketTransport::flush_peer(Peer& peer, std::size_t peer_index) {
 }
 
 void SocketTransport::read_inbound(Inbound& conn) {
-  bool closed = false;
-  for (;;) {
-    const std::size_t old = conn.buf.size();
-    conn.buf.resize(old + kReadChunk);
-    const ssize_t n = ::read(conn.fd, conn.buf.data() + old, kReadChunk);
-    conn.buf.resize(old + (n > 0 ? static_cast<std::size_t>(n) : 0));
-    if (n > 0) {
-      if (static_cast<std::size_t>(n) < kReadChunk) break;
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // EOF or hard error; finish decoding what we have -- a complete
-    // frame followed by EOF is still a frame -- then drop the fd.
-    closed = true;
-    break;
-  }
+  // On EOF or a hard error, finish decoding what we have, then drop the fd.
+  const bool closed = !read_available(conn.fd, conn.buf);
   for (;;) {
     Message msg = draft();
     std::size_t consumed = 0;
@@ -296,14 +279,7 @@ void SocketTransport::read_inbound(Inbound& conn) {
     ::close(conn.fd);
     conn.fd = -1;
   }
-  if (conn.off == conn.buf.size()) {
-    conn.buf.clear();
-    conn.off = 0;
-  } else if (conn.off > kCompactThreshold) {
-    conn.buf.erase(conn.buf.begin(),
-                   conn.buf.begin() + static_cast<std::ptrdiff_t>(conn.off));
-    conn.off = 0;
-  }
+  compact_consumed(conn.buf, conn.off);
 }
 
 void SocketTransport::io_loop() {

@@ -177,7 +177,7 @@ class ProtocolHarness {
     return query_records_.at(id);
   }
   /// Invoked (on the driving thread) the moment a query's record
-  /// completes -- the serving layer's batching front-end keys off this.
+  /// completes -- the serving layer's front-end keys off this.
   /// The record reference obtained via query_record(id) inside the
   /// handler is invalidated by issuing further queries: copy first.
   using QueryCompletionHandler = std::function<void(std::uint64_t)>;

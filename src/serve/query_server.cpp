@@ -1,16 +1,20 @@
 #include "serve/query_server.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
 #include "common/expect.hpp"
-#include "voronet/queries.hpp"
 
 namespace voronet::serve {
 
 namespace {
+
+/// Gateway sampling for the region floods.
+constexpr std::uint64_t kGatewaySeed = 0x5e11eULL;
+/// Result-cache entry bound: the whole cache is dropped when full --
+/// entries are invalidated wholesale by churn anyway, so eviction finesse
+/// buys nothing.
+constexpr std::size_t kCacheCapacity = 4096;
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -35,10 +39,8 @@ bool same_region(const QuerySpec& a, const QuerySpec& b) {
 
 QueryServer::QueryServer(protocol::ProtocolHarness& harness,
                          const ServeConfig& config)
-    : harness_(harness), config_(config), rng_(config.seed) {
+    : harness_(harness), config_(config), rng_(kGatewaySeed) {
   VORONET_EXPECT(config_.queue_capacity > 0, "serve: zero admission capacity");
-  VORONET_EXPECT(config_.max_batch > 0, "serve: zero batch bound");
-  VORONET_EXPECT(config_.bucket_size > 0.0, "serve: non-positive bucket size");
   harness_.set_query_completion_handler(
       [this](std::uint64_t flood_id) { on_flood_complete(flood_id); });
 }
@@ -76,19 +78,17 @@ QueryServer::TicketId QueryServer::submit(QuerySpec spec) {
 
   // Cache: an exact-spec entry stamped with the CURRENT topology version
   // is the answer -- positions are immutable per live object.
-  if (config_.cache) {
-    auto it = cache_.find(spec_hash(spec));
-    if (it != cache_.end() && same_region(it->second.spec, spec) &&
-        it->second.entry.version == harness_.topology_version()) {
-      ++stats_.cache_hits;
-      t.done = true;
-      t.cache_hit = true;
-      t.completed = t.arrival;
-      t.completed_version = it->second.entry.version;
-      t.matches = it->second.entry.matches;
-      ++stats_.completed;
-      return id;
-    }
+  auto it = cache_.find(spec_hash(spec));
+  if (it != cache_.end() && same_region(it->second.spec, spec) &&
+      it->second.entry.version == harness_.topology_version()) {
+    ++stats_.cache_hits;
+    t.done = true;
+    t.cache_hit = true;
+    t.completed = t.arrival;
+    t.completed_version = it->second.entry.version;
+    t.matches = it->second.entry.matches;
+    ++stats_.completed;
+    return id;
   }
 
   // Admission: shed at the front door once the service queue is full.
@@ -102,106 +102,50 @@ QueryServer::TicketId QueryServer::submit(QuerySpec spec) {
   ++stats_.admitted;
   ++in_service_;
 
-  const std::uint64_t key = bucket_key(spec.target());
-  Bucket& bucket = buckets_[key];
-  bucket.members.push_back(id);
-  if (bucket.members.size() >= config_.max_batch) {
-    flush_bucket(key);
-  } else if (!bucket.timer_armed) {
-    bucket.timer_armed = true;
-    harness_.network().schedule(config_.batch_window, [this, key] {
-      Bucket& b = buckets_[key];
-      b.timer_armed = false;
-      if (!b.members.empty()) flush_bucket(key);
-    });
-  }
-  return id;
-}
-
-std::uint64_t QueryServer::bucket_key(Vec2 target) const {
-  const auto cell = [&](double v) {
-    const double c = std::floor(v / config_.bucket_size);
-    return static_cast<std::int64_t>(c);
-  };
-  return mix64(static_cast<std::uint64_t>(cell(target.x)) * 0x100000001b3ULL ^
-               static_cast<std::uint64_t>(cell(target.y)));
-}
-
-void QueryServer::flush_bucket(std::uint64_t key) {
-  Bucket& bucket = buckets_[key];
-  std::vector<TicketId> members;
-  members.swap(bucket.members);
-  if (members.empty()) return;
-
-  // Nobody to serve: the true result set of every member is empty.
+  // Nobody to serve: the true result set is empty.
   if (harness_.roster().empty()) {
-    const std::size_t n = members.size();
-    for (const TicketId id : members) complete(id, {}, n, false);
-    return;
+    complete(id, {});
+    return id;
   }
 
-  // Covering disk: centroid of the member targets, radius wide enough
-  // that every site matching ANY member lies inside (header proof).
-  Vec2 c{0.0, 0.0};
-  for (const TicketId id : members) c = c + tickets_.at(id).spec.target();
-  c = (1.0 / static_cast<double>(members.size())) * c;
-  double radius = 0.0;
-  for (const TicketId id : members) {
-    const QuerySpec& s = tickets_.at(id).spec;
-    radius = std::max(radius,
-                      std::max(dist(c, s.a), dist(c, s.b)) + s.tol);
-  }
-
+  // One flood over exactly this query's region.
   ++stats_.batches;
-  stats_.batch_members += members.size();
+  ++stats_.batch_members;
   const NodeId gateway = harness_.random_node(rng_);
   const std::uint64_t flood_id =
-      harness_.issue_radius_query(gateway, c, radius);
-  flights_[flood_id].members = std::move(members);
+      spec.kind == QueryKind::kRange
+          ? harness_.issue_range_query(gateway, spec.a, spec.b, spec.tol)
+          : harness_.issue_radius_query(gateway, spec.a, spec.tol);
+  flights_[flood_id] = id;
+  return id;
 }
 
 void QueryServer::on_flood_complete(std::uint64_t flood_id) {
   auto it = flights_.find(flood_id);
   if (it == flights_.end()) return;  // not one of ours (direct test query)
-  const std::vector<TicketId> members = std::move(it->second.members);
+  const TicketId id = it->second;
   flights_.erase(it);
 
-  // Copy the served cells before anything re-enters the harness: the
-  // record reference is invalidated by issuing further queries.
-  const std::vector<ViewEntry> owners = harness_.query_record(flood_id).owners;
-  const std::uint64_t version = harness_.topology_version();
-
-  for (const TicketId id : members) {
-    const QuerySpec spec = tickets_.at(id).spec;
-    std::vector<NodeId> matches;
-    for (const ViewEntry& e : owners) {  // sorted by id -> matches sorted
-      if (site_within_tolerance(spec.a, spec.b, e.pos, spec.tol)) {
-        matches.push_back(e.id);
-      }
-    }
-    if (config_.cache) {
-      if (cache_.size() >= config_.cache_capacity) {
-        stats_.cache_entries_dropped += cache_.size();
-        cache_.clear();
-      }
-      KeyedEntry& slot = cache_[spec_hash(spec)];
-      slot.spec = spec;
-      slot.entry.version = version;
-      slot.entry.matches = matches;
-    }
-    complete(id, std::move(matches), members.size(), false);
+  // Copy: the record stays the harness's (drop_completed_queries frees it).
+  std::vector<NodeId> matches = harness_.query_record(flood_id).matches;
+  const QuerySpec& spec = tickets_.at(id).spec;
+  if (cache_.size() >= kCacheCapacity) {
+    stats_.cache_entries_dropped += cache_.size();
+    cache_.clear();
   }
+  KeyedEntry& slot = cache_[spec_hash(spec)];
+  slot.spec = spec;
+  slot.entry.version = harness_.topology_version();
+  slot.entry.matches = matches;
+  complete(id, std::move(matches));
 }
 
-void QueryServer::complete(TicketId id, std::vector<NodeId> matches,
-                           std::size_t batch_size, bool cache_hit) {
+void QueryServer::complete(TicketId id, std::vector<NodeId> matches) {
   Ticket& t = tickets_.at(id);
   VORONET_EXPECT(!t.done, "serve: double completion of a ticket");
   t.done = true;
-  t.cache_hit = cache_hit;
   t.completed = harness_.network().now();
   t.completed_version = harness_.topology_version();
-  t.batch_size = batch_size;
   t.matches = std::move(matches);
   VORONET_EXPECT(in_service_ > 0, "serve: completion without admission");
   --in_service_;

@@ -1,35 +1,11 @@
-// The query front-end of the serving layer: admission, batching, and a
+// The query front-end of the serving layer: admission and a
 // churn-invalidated result cache in front of the protocol engine's
 // region-query floods.
 //
-// A deployment does not get one flood per client query -- at open-loop
-// load the floods would trample each other and the tail would explode.
-// This server interposes three classic serving-layer mechanisms, all
-// transport-agnostic (they run identically on SimTransport and
-// ThreadTransport):
-//
-//   * ADMISSION: a bounded service queue.  A query is rejected outright
-//     when `queue_capacity` admitted queries are still unfinished --
-//     load shedding at the front door instead of collapse in the
-//     overlay.  Rejections are visible in the stats and the bench's
-//     completion rate.
-//
-//   * BATCHING: admitted queries are bucketed by the region of space
-//     they touch (a uniform grid of `bucket_size` cells over the unit
-//     square).  A bucket flushes when it holds `max_batch` members or
-//     its oldest member has waited `batch_window` seconds.  One flush
-//     issues ONE covering flood -- a radius query at the members'
-//     centroid C with radius max_i(max(|C-a_i|, |C-b_i|) + tol_i) --
-//     whose spanning tree is shared by every member.
-//
-//     Exactness: any site s matching member i satisfies
-//     dist(s, seg_i) <= tol_i, so |s - C| <= max(|C-a_i|,|C-b_i|) +
-//     tol_i <= R; s's own cell contains s, hence intersects the covering
-//     disk, hence is served by the flood.  Filtering the flood's served
-//     (id, pos) pairs through voronet::site_within_tolerance -- the ONE
-//     site predicate of the sequential layer -- therefore reproduces
-//     each member's match set exactly.  tests/serve_test.cpp pins
-//     recall == precision == 1 against the sequential ground truth.
+// Unchecked, open-loop overload would start floods faster than the
+// overlay drains them and the tail would explode.  This server interposes
+// two classic serving-layer mechanisms, both transport-agnostic (they run
+// identically on SimTransport and ThreadTransport):
 //
 //   * RESULT CACHE: completed match sets keyed by the exact QuerySpec,
 //     stamped with the harness's topology_version at completion.
@@ -37,6 +13,20 @@
 //     means an identical live (id, position) set and the cached answer
 //     is exact; any join/leave/crash bumps the version and silently
 //     invalidates every older entry.  No TTLs, no heuristics.
+//
+//   * ADMISSION: a bounded service queue.  A cache miss is rejected
+//     outright when `queue_capacity` admitted queries are still
+//     unfinished -- load shedding at the front door instead of collapse
+//     in the overlay.  Rejections are visible in the stats and the
+//     bench's completion rate.
+//
+// Every admitted query then floods exactly its own region: a range spec
+// through issue_range_query (the capsule around its segment), a radius
+// spec through issue_radius_query (its disk), from a random gateway.  The
+// flood's record already filters the served cells through the one site
+// predicate (voronet::site_within_tolerance), so its `matches` are the
+// ticket's answer verbatim; tests/serve_test.cpp pins them against the
+// sequential ground truth.
 //
 // Single-threaded by construction: every entry point runs on the
 // transport's driving thread (Transport::Sink contract), so the server
@@ -56,26 +46,11 @@ namespace voronet::serve {
 using protocol::NodeId;
 using protocol::QueryKind;
 using protocol::QuerySpec;
-using protocol::ViewEntry;
 
 struct ServeConfig {
   /// Admission bound: queries in service (admitted, not yet completed)
   /// beyond this are rejected.
   std::size_t queue_capacity = 256;
-  /// Flush a region bucket at this many co-batched members.
-  std::size_t max_batch = 8;
-  /// ... or when its oldest member has waited this long (transport
-  /// clock: virtual seconds on sim, wall seconds on thread).
-  double batch_window = 0.005;
-  /// Edge length of the region-bucketing grid over the unit square.
-  double bucket_size = 0.125;
-  /// Result cache on/off, and its entry bound (the whole cache is
-  /// dropped when full -- entries are invalidated wholesale by churn
-  /// anyway, so eviction finesse buys nothing).
-  bool cache = true;
-  std::size_t cache_capacity = 4096;
-  /// Gateway sampling for the covering floods.
-  std::uint64_t seed = 0x5e11eULL;
 };
 
 struct ServeStats {
@@ -84,8 +59,8 @@ struct ServeStats {
   std::uint64_t rejected = 0;    ///< admission-bound sheds
   std::uint64_t cache_hits = 0;  ///< answered without any flood
   std::uint64_t completed = 0;
-  std::uint64_t batches = 0;        ///< covering floods issued
-  std::uint64_t batch_members = 0;  ///< queries those floods served
+  std::uint64_t batches = 0;        ///< region floods issued
+  std::uint64_t batch_members = 0;  ///< queries those floods served (one each)
   std::uint64_t cache_entries_dropped = 0;
 };
 
@@ -101,7 +76,6 @@ class QueryServer {
     bool done = false;
     bool rejected = false;   ///< shed at admission; no answer
     bool cache_hit = false;
-    std::size_t batch_size = 0;  ///< members of the flood that served it
     std::uint64_t completed_version = 0;  ///< topology version at answer
     std::vector<NodeId> matches;          ///< sorted site matches
 
@@ -131,25 +105,14 @@ class QueryServer {
   void drop_completed_tickets();
 
  private:
-  struct Bucket {
-    std::vector<TicketId> members;
-    bool timer_armed = false;
-  };
-  /// One in-flight covering flood and the members it serves.
-  struct Flight {
-    std::vector<TicketId> members;
-  };
   struct CacheEntry {
     std::uint64_t version = 0;
     std::vector<NodeId> matches;
   };
 
   TicketId submit(QuerySpec spec);
-  [[nodiscard]] std::uint64_t bucket_key(Vec2 target) const;
-  void flush_bucket(std::uint64_t key);
   void on_flood_complete(std::uint64_t flood_id);
-  void complete(TicketId id, std::vector<NodeId> matches,
-                std::size_t batch_size, bool cache_hit);
+  void complete(TicketId id, std::vector<NodeId> matches);
   [[nodiscard]] static std::uint64_t spec_hash(const QuerySpec& spec);
 
   protocol::ProtocolHarness& harness_;
@@ -159,11 +122,9 @@ class QueryServer {
   TicketId next_ticket_ = 0;
   std::size_t in_service_ = 0;
   std::unordered_map<TicketId, Ticket> tickets_;
-  std::unordered_map<std::uint64_t, Bucket> buckets_;
-  std::unordered_map<std::uint64_t, Flight> flights_;  ///< by flood query id
-  /// spec-hash -> entry; collisions are resolved by storing the spec in
-  /// the entry?  No: the hash covers every spec field bit-exactly and a
-  /// false hit is ruled out by comparing the stored spec.
+  std::unordered_map<std::uint64_t, TicketId> flights_;  ///< flood id -> ticket
+  /// spec-hash -> entry; the hash covers every spec field bit-exactly
+  /// and a false hit is ruled out by comparing the stored spec.
   struct KeyedEntry {
     QuerySpec spec;
     CacheEntry entry;

@@ -11,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "protocol/message.hpp"
+#include "scenario/runner.hpp"
 #include "voronet/object_id.hpp"
 #include "workload/distributions.hpp"
 
@@ -299,21 +300,25 @@ TEST(QueryEngine, ChurnConcurrentScenario) {
   // post-quiescence ground truth (queries that finished before later
   // churn legitimately reflect an earlier topology, so recall /
   // precision are bounded, not asserted exact).
-  HarnessConfig config = make_config(73);
-  config.network.latency = LatencyModel::uniform(0.005, 0.05);
-  config.network.drop_probability = 0.1;
-  config.failure_detect_delay = 0.25;
-  QueryHarness qh(config);
-  qh.populate(250, 73);
-
-  QueryHarness::ChurnScenario s;
-  s.joins = 25;
-  s.leaves = 20;
-  s.crashes = 12;
-  s.queries = 40;
-  s.horizon = 2.5;
+  using scenario::Event;
+  scenario::Scenario s;
+  s.population = 250;
   s.seed = 73;
-  const auto rep = qh.run_churn_scenario(s);
+  s.latency = LatencyModel::uniform(0.005, 0.05);
+  s.loss = 0.1;
+  s.failure_detect_delay = 0.25;
+  const double horizon = 2.5;
+  const std::size_t floor = 16;  // never tear the overlay down entirely
+  s.timeline = {
+      Event::join_burst(0.0, 25, horizon, scenario::Spread::kUniform),
+      Event::leave(0.0, 20, horizon, floor),
+      Event::crash(0.0, 12, horizon, floor),
+      Event::query_stream(0.0, 40, horizon, scenario::QueryMix::kMixed,
+                          scenario::Spread::kUniform),
+  };
+  scenario::Runner runner(s);
+  const scenario::Report rep = runner.run();
+  QueryHarness& qh = runner.harness();
 
   EXPECT_TRUE(rep.quiesced);
   EXPECT_EQ(rep.completed, rep.queries);

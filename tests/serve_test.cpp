@@ -1,4 +1,4 @@
-// Serving-layer tests: admission, batching, cache invalidation, and
+// Serving-layer tests: admission, cache invalidation, and
 // end-to-end exactness of the query front-end (src/serve).
 //
 // The deterministic cells run on SimTransport, where every count is
@@ -45,62 +45,38 @@ std::vector<NodeId> truth_matches(const ProtocolHarness& harness, Vec2 a,
   return out;
 }
 
-TEST(QueryServer, BatchesCoResidentQueriesIntoSharedFloodsExactly) {
+TEST(QueryServer, EachAdmittedQueryFloodsItsOwnRegionExactly) {
   QueryHarness qh(sim_config());
   qh.populate(120, 41);
   ProtocolHarness& h = qh.harness();
+  QueryServer server(h, ServeConfig{});
 
-  ServeConfig sc;
-  sc.max_batch = 4;
-  sc.batch_window = 0.5;  // wide: only the size trigger fires here
-  QueryServer server(h, sc);
-
-  // Eight queries against one hot region: same bucket, two full batches.
+  // Eight clustered radius queries against one hot region, plus a radius
+  // and a range query side by side.
   const Vec2 hot{0.45, 0.55};
   std::vector<QueryServer::TicketId> ids;
   for (int i = 0; i < 8; ++i) {
     ids.push_back(server.submit_radius(
         Vec2{hot.x + 0.001 * i, hot.y - 0.001 * i}, 0.08));
   }
+  ids.push_back(server.submit_radius(Vec2{0.3, 0.3}, 0.1));
+  ids.push_back(
+      server.submit_range(Vec2{0.31, 0.3}, Vec2{0.35, 0.34}, 0.05));
   const auto run = h.run_to_idle();
   ASSERT_FALSE(run.budget_exhausted);
 
-  EXPECT_EQ(server.stats().batches, 2u) << "4+4 under max_batch=4";
-  EXPECT_EQ(server.stats().batch_members, 8u);
-  EXPECT_EQ(server.stats().completed, 8u);
+  EXPECT_EQ(server.stats().admitted, ids.size());
+  EXPECT_EQ(server.stats().batches, server.stats().admitted)
+      << "one flood per admitted query";
+  EXPECT_EQ(server.stats().completed, ids.size());
   EXPECT_EQ(server.in_service(), 0u);
   for (const auto id : ids) {
     const QueryServer::Ticket& t = server.ticket(id);
     ASSERT_TRUE(t.done);
     EXPECT_FALSE(t.rejected);
-    EXPECT_EQ(t.batch_size, 4u);
     EXPECT_GE(t.latency(), 0.0);
     EXPECT_EQ(t.matches, truth_matches(h, t.spec.a, t.spec.b, t.spec.tol))
-        << "covering-flood member filter must reproduce the exact result";
-  }
-}
-
-TEST(QueryServer, WindowTimerFlushesPartialBatch) {
-  QueryHarness qh(sim_config());
-  qh.populate(80, 42);
-  ProtocolHarness& h = qh.harness();
-
-  ServeConfig sc;
-  sc.max_batch = 16;       // never reached
-  sc.batch_window = 0.02;  // the clock does the flushing
-  QueryServer server(h, sc);
-
-  const auto a = server.submit_radius(Vec2{0.3, 0.3}, 0.1);
-  const auto b = server.submit_range(Vec2{0.31, 0.3}, Vec2{0.35, 0.34}, 0.05);
-  const auto run = h.run_to_idle();
-  ASSERT_FALSE(run.budget_exhausted);
-
-  EXPECT_EQ(server.stats().batches, 1u) << "one window flush for the bucket";
-  EXPECT_EQ(server.stats().batch_members, 2u);
-  for (const auto id : {a, b}) {
-    const QueryServer::Ticket& t = server.ticket(id);
-    ASSERT_TRUE(t.done);
-    EXPECT_EQ(t.matches, truth_matches(h, t.spec.a, t.spec.b, t.spec.tol));
+        << "the region flood must reproduce the exact result";
   }
 }
 
@@ -109,9 +85,7 @@ TEST(QueryServer, CacheHitsExactSpecAndChurnInvalidates) {
   qh.populate(100, 43);
   ProtocolHarness& h = qh.harness();
 
-  ServeConfig sc;
-  sc.batch_window = 0.01;
-  QueryServer server(h, sc);
+  QueryServer server(h, ServeConfig{});
   const Vec2 c{0.5, 0.5};
 
   const auto first = server.submit_radius(c, 0.1);
@@ -159,9 +133,6 @@ TEST(QueryServer, AdmissionBoundShedsAndRecovers) {
 
   ServeConfig sc;
   sc.queue_capacity = 2;
-  sc.max_batch = 64;
-  sc.batch_window = 0.05;
-  sc.cache = false;  // every submit must take the admission path
   QueryServer server(h, sc);
 
   std::vector<QueryServer::TicketId> ids;
@@ -229,8 +200,7 @@ TEST(OpenLoop, SimStreamCompletesAndGradesExactly) {
   EXPECT_EQ(r.precision, 1.0);
   EXPECT_GE(r.p99, r.p50);
   EXPECT_GE(r.max_latency, r.p99);
-  EXPECT_GT(r.batches, 0u);
-  EXPECT_GE(r.mean_batch, 1.0);
+  EXPECT_EQ(r.batches, r.admitted) << "one flood per admitted query";
 }
 
 TEST(OpenLoop, ThreadBackendHarnessConvergesAndServes) {

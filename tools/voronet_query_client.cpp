@@ -55,12 +55,12 @@ int main(int argc, char** argv) try {
 
   std::printf(
       "offered %llu  completed %llu  rejected %llu  cache %llu  "
-      "batches %llu (%.2f/batch)\n",
+      "batches %llu\n",
       static_cast<unsigned long long>(r.offered),
       static_cast<unsigned long long>(r.completed),
       static_cast<unsigned long long>(r.rejected),
       static_cast<unsigned long long>(r.cache_hits),
-      static_cast<unsigned long long>(r.batches), r.mean_batch);
+      static_cast<unsigned long long>(r.batches));
   std::printf("latency p50 %.3f ms  p99 %.3f ms  max %.3f ms\n", r.p50 * 1e3,
               r.p99 * 1e3, r.max_latency * 1e3);
   std::printf(
@@ -81,7 +81,6 @@ int main(int argc, char** argv) try {
     doc.set("completion_rate", Json::number(r.completion_rate));
     doc.set("cache_hits", Json::integer(r.cache_hits));
     doc.set("batches", Json::integer(r.batches));
-    doc.set("mean_batch", Json::number(r.mean_batch));
     doc.set("p50_s", Json::number(r.p50));
     doc.set("p99_s", Json::number(r.p99));
     doc.set("max_s", Json::number(r.max_latency));
