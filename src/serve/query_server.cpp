@@ -78,14 +78,16 @@ QueryServer::TicketId QueryServer::submit(QuerySpec spec) {
 
   // Cache: an exact-spec entry stamped with the CURRENT topology version
   // is the answer -- positions are immutable per live object.
-  auto it = cache_.find(spec_hash(spec));
+  const std::uint64_t key = spec_hash(spec);
+  const std::uint64_t version = harness_.topology_version();
+  auto it = cache_.find(key);
   if (it != cache_.end() && same_region(it->second.spec, spec) &&
-      it->second.entry.version == harness_.topology_version()) {
+      it->second.entry.version == version) {
     ++stats_.cache_hits;
     t.done = true;
     t.cache_hit = true;
     t.completed = t.arrival;
-    t.completed_version = it->second.entry.version;
+    t.completed_version = version;
     t.matches = it->second.entry.matches;
     ++stats_.completed;
     return id;
@@ -108,36 +110,53 @@ QueryServer::TicketId QueryServer::submit(QuerySpec spec) {
     return id;
   }
 
+  // An identical flood in flight over the current topology answers this
+  // query too.
+  ++stats_.batch_members;
+  auto f = in_flight_.find(key);
+  if (f != in_flight_.end()) {
+    Flight& flight = flights_.at(f->second);
+    if (flight.version == version &&
+        same_region(tickets_.at(flight.tickets.front()).spec, spec)) {
+      flight.tickets.push_back(id);
+      return id;
+    }
+  }
+
   // One flood over exactly this query's region.
   ++stats_.batches;
-  ++stats_.batch_members;
   const NodeId gateway = harness_.random_node(rng_);
   const std::uint64_t flood_id =
       spec.kind == QueryKind::kRange
           ? harness_.issue_range_query(gateway, spec.a, spec.b, spec.tol)
           : harness_.issue_radius_query(gateway, spec.a, spec.tol);
-  flights_[flood_id] = id;
+  flights_[flood_id] = Flight{version, {id}};
+  in_flight_[key] = flood_id;
   return id;
 }
 
 void QueryServer::on_flood_complete(std::uint64_t flood_id) {
   auto it = flights_.find(flood_id);
   if (it == flights_.end()) return;  // not one of ours (direct test query)
-  const TicketId id = it->second;
+  const Flight flight = std::move(it->second);
   flights_.erase(it);
 
+  const QuerySpec spec = tickets_.at(flight.tickets.front()).spec;
+  const std::uint64_t key = spec_hash(spec);
+  auto f = in_flight_.find(key);
+  if (f != in_flight_.end() && f->second == flood_id) in_flight_.erase(f);
+
   // Copy: the record stays the harness's (drop_completed_queries frees it).
-  std::vector<NodeId> matches = harness_.query_record(flood_id).matches;
-  const QuerySpec& spec = tickets_.at(id).spec;
+  const std::vector<NodeId>& matches = harness_.query_record(flood_id).matches;
   if (cache_.size() >= kCacheCapacity) {
     stats_.cache_entries_dropped += cache_.size();
     cache_.clear();
   }
-  KeyedEntry& slot = cache_[spec_hash(spec)];
+  KeyedEntry& slot = cache_[key];
   slot.spec = spec;
   slot.entry.version = harness_.topology_version();
   slot.entry.matches = matches;
-  complete(id, std::move(matches));
+  for (const TicketId id : flight.tickets) complete(id, matches);
 }
 
 void QueryServer::complete(TicketId id, std::vector<NodeId> matches) {

@@ -28,6 +28,15 @@
 // ticket's answer verbatim; tests/serve_test.cpp pins them against the
 // sequential ground truth.
 //
+// The one exception is an admitted query whose exact spec already has a
+// flood in flight, issued at the current topology version: it waits for
+// that flood's answer instead of starting a second, identical flood.  The
+// answer is the one a fresh flood would give (same region, same
+// topology), and it completes at the same instant as the flood's first
+// ticket.  Without it, a backlog of a popular spec would miss the cache
+// (entries appear only on completion) and flood once per copy, so the
+// server would get slower per query exactly when it falls behind.
+//
 // Single-threaded by construction: every entry point runs on the
 // transport's driving thread (Transport::Sink contract), so the server
 // needs no locks even over ThreadTransport.
@@ -60,7 +69,7 @@ struct ServeStats {
   std::uint64_t cache_hits = 0;  ///< answered without any flood
   std::uint64_t completed = 0;
   std::uint64_t batches = 0;        ///< region floods issued
-  std::uint64_t batch_members = 0;  ///< queries those floods served (one each)
+  std::uint64_t batch_members = 0;  ///< admitted queries those floods answer
   std::uint64_t cache_entries_dropped = 0;
 };
 
@@ -122,7 +131,13 @@ class QueryServer {
   TicketId next_ticket_ = 0;
   std::size_t in_service_ = 0;
   std::unordered_map<TicketId, Ticket> tickets_;
-  std::unordered_map<std::uint64_t, TicketId> flights_;  ///< flood id -> ticket
+  struct Flight {
+    std::uint64_t version = 0;      ///< topology version at issue
+    std::vector<TicketId> tickets;  ///< answered by it, issuer first
+  };
+  std::unordered_map<std::uint64_t, Flight> flights_;  ///< flood id -> flight
+  /// spec-hash -> the newest flood in flight over that spec.
+  std::unordered_map<std::uint64_t, std::uint64_t> in_flight_;
   /// spec-hash -> entry; the hash covers every spec field bit-exactly
   /// and a false hit is ruled out by comparing the stored spec.
   struct KeyedEntry {

@@ -80,6 +80,52 @@ TEST(QueryServer, EachAdmittedQueryFloodsItsOwnRegionExactly) {
   }
 }
 
+TEST(QueryServer, IdenticalSpecInFlightSharesItsFlood) {
+  QueryHarness qh(sim_config());
+  qh.populate(120, 42);
+  ProtocolHarness& h = qh.harness();
+  QueryServer server(h, ServeConfig{});
+
+  // Two copies of one spec before its first answer exists (the cache is
+  // still cold), plus a range query: two floods, three exact answers.
+  const Vec2 c{0.5, 0.5};
+  const auto first = server.submit_radius(c, 0.1);
+  const auto copy = server.submit_radius(c, 0.1);
+  const auto other =
+      server.submit_range(Vec2{0.2, 0.2}, Vec2{0.3, 0.25}, 0.05);
+  EXPECT_EQ(server.in_service(), 3u) << "each copy is admitted";
+  ASSERT_FALSE(h.run_to_idle().budget_exhausted);
+
+  EXPECT_EQ(server.stats().admitted, 3u);
+  EXPECT_EQ(server.stats().batches, 2u) << "the copy waits on the first flood";
+  EXPECT_EQ(server.stats().batch_members, 3u);
+  EXPECT_EQ(server.stats().cache_hits, 0u);
+  EXPECT_EQ(server.in_service(), 0u);
+  for (const auto id : {first, copy, other}) {
+    const QueryServer::Ticket& t = server.ticket(id);
+    ASSERT_TRUE(t.done);
+    EXPECT_FALSE(t.cache_hit);
+    EXPECT_EQ(t.matches, truth_matches(h, t.spec.a, t.spec.b, t.spec.tol));
+  }
+  EXPECT_EQ(server.ticket(copy).completed, server.ticket(first).completed);
+
+  // A topology change between two copies: the later one, submitted after
+  // the crash and before the first copy's flood (10-50 ms hops) answers,
+  // floods afresh.
+  const Vec2 d{0.6, 0.4};
+  server.submit_radius(d, 0.1);
+  Rng pick(9);
+  h.crash(h.random_node(pick));
+  QueryServer::TicketId after = 0;
+  h.network().schedule(0.001,
+                       [&] { after = server.submit_radius(d, 0.1); });
+  ASSERT_FALSE(h.run_to_idle().budget_exhausted);
+  EXPECT_EQ(server.stats().batches, 4u)
+      << "a copy issued over a changed topology needs its own flood";
+  ASSERT_TRUE(server.ticket(after).done);
+  EXPECT_EQ(server.ticket(after).matches, truth_matches(h, d, d, 0.1));
+}
+
 TEST(QueryServer, CacheHitsExactSpecAndChurnInvalidates) {
   QueryHarness qh(sim_config());
   qh.populate(100, 43);
