@@ -18,20 +18,25 @@
 //
 // Flags beyond the common set (see bench_common.hpp):
 //   --objects N   overlay size per cell
-//   --shards K    ThreadTransport actor threads (0 = derive)
+//   --shards K    ThreadTransport actor threads (0 = derive, at most 64)
 //
 // The "socket" cell is a real two-process run: the shard is forked into
 // a child hosting tools-style voronet_served serving (ServedShard over a
 // Unix-domain socket) and this process drives it with
 // run_open_loop_remote -- same arrival schedule, wall-clock latencies
-// measured across the process boundary.
+// measured across the process boundary.  The socket is the client
+// boundary; the shard's overlay wire is ThreadTransport, so the cell
+// reports backend "thread" with remote: true.
 #include <csignal>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -137,7 +142,7 @@ Cell run_socket_cell(std::string name, std::size_t objects, double rate,
                      double duration, std::uint64_t seed) {
   Cell cell;
   cell.name = std::move(name);
-  cell.backend = TransportKind::kSocket;
+  cell.backend = TransportKind::kThread;  // ServedConfig's default
   cell.rate = rate;
   cell.remote = true;
 
@@ -191,10 +196,9 @@ Json cell_json(const Cell& cell) {
   const serve::LoadReport& r = cell.report;
   Json j = Json::object();
   j.set("name", Json::string(cell.name));
-  const char* backend = "sim";
-  if (cell.backend == TransportKind::kThread) backend = "thread";
-  if (cell.backend == TransportKind::kSocket) backend = "socket";
-  j.set("backend", Json::string(backend));
+  j.set("backend", Json::string(cell.backend == TransportKind::kThread
+                                    ? "thread"
+                                    : "sim"));
   j.set("remote", Json::boolean(cell.remote));
   j.set("rate_qps", Json::number(cell.rate));
   j.set("churn", Json::boolean(cell.churn));
@@ -228,11 +232,20 @@ Json cell_json(const Cell& cell) {
 
 int main(int argc, char** argv) try {
   bench::Args args(argc, argv, /*default_seed=*/0x5e4eULL);
-  const std::size_t objects = static_cast<std::size_t>(args.flags().get_int(
-      "objects", args.smoke ? 150 : 400));
-  const unsigned shards =
-      static_cast<unsigned>(args.flags().get_int("shards", 0));
+  const std::int64_t objects_flag =
+      args.flags().get_int("objects", args.smoke ? 150 : 400);
+  const std::int64_t shards_flag = args.flags().get_int("shards", 0);
   args.finish();
+  // Checked before any cast: an unsigned cast would turn --shards -1 into
+  // 4,294,967,295 threads.
+  if (objects_flag < 0 || shards_flag < 0) {
+    throw std::invalid_argument("--objects and --shards must not be negative");
+  }
+  const auto objects = static_cast<std::size_t>(objects_flag);
+  // Saturate rather than wrap: ThreadTransport rejects anything past its
+  // shard cap.
+  const auto shards = static_cast<unsigned>(std::min<std::int64_t>(
+      shards_flag, std::numeric_limits<unsigned>::max()));
 
   const double duration = args.smoke ? 0.4 : 1.0;
   std::vector<double> rates =

@@ -1,6 +1,7 @@
 #include "net/serve_client.hpp"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -27,7 +28,8 @@ double seconds_since(Clock::time_point t0) {
 
 }  // namespace
 
-ServeClient::ServeClient(const std::string& spec, double connect_timeout) {
+ServeClient::ServeClient(const std::string& spec, double connect_timeout)
+    : write_timeout_(connect_timeout) {
   Address addr;
   std::string err;
   if (!parse_address(spec, addr, err)) {
@@ -36,24 +38,19 @@ ServeClient::ServeClient(const std::string& spec, double connect_timeout) {
   const auto t0 = Clock::now();
   // The server process may still be growing its overlay: retry the
   // connect until the deadline, then give up loudly.
-  while (fd_ < 0) {
+  for (;;) {
     bool in_progress = false;
-    int fd = start_connect(addr, in_progress, err);
-    if (fd >= 0 && in_progress) {
-      pollfd pfd{fd, POLLOUT, 0};
-      while (seconds_since(t0) < connect_timeout) {
-        if (::poll(&pfd, 1, 50) > 0) break;
+    fd_ = start_connect(addr, in_progress, err);
+    if (fd_ >= 0 && in_progress) {
+      pollfd pfd{fd_, POLLOUT, 0};
+      while (seconds_since(t0) < connect_timeout && ::poll(&pfd, 1, 50) <= 0) {
       }
-      const int connect_errno = finish_connect(fd);
-      if (connect_errno != 0) {
-        ::close(fd);
-        fd = -1;
+      if (finish_connect(fd_) != 0) {
+        ::close(fd_);
+        fd_ = -1;
       }
     }
-    if (fd >= 0) {
-      fd_ = fd;
-      break;
-    }
+    if (fd_ >= 0) break;
     if (seconds_since(t0) >= connect_timeout) {
       throw std::runtime_error("serve client: connect to " + addr.spec() +
                                " timed out");
@@ -63,7 +60,6 @@ ServeClient::ServeClient(const std::string& spec, double connect_timeout) {
 
   ServeFrame hello;
   hello.kind = ServeKind::kHello;
-  hello.id = next_request_id();
   send_frame(hello);
   ServeFrame ack;
   if (!pump(connect_timeout, ServeKind::kHelloAck, &ack, nullptr)) {
@@ -76,29 +72,25 @@ ServeClient::~ServeClient() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::uint64_t ServeClient::next_request_id() { return next_id_++; }
-
 std::uint64_t ServeClient::submit_radius(Vec2 centre, double radius) {
   ServeFrame f;
   f.kind = ServeKind::kSubmitRadius;
-  f.id = next_request_id();
   f.a = centre;
   f.tol = radius;
-  send_frame(f);
+  const std::uint64_t id = send_frame(f);
   ++outstanding_;
-  return f.id;
+  return id;
 }
 
 std::uint64_t ServeClient::submit_range(Vec2 a, Vec2 b, double tol) {
   ServeFrame f;
   f.kind = ServeKind::kSubmitRange;
-  f.id = next_request_id();
   f.a = a;
   f.b = b;
   f.tol = tol;
-  send_frame(f);
+  const std::uint64_t id = send_frame(f);
   ++outstanding_;
-  return f.id;
+  return id;
 }
 
 std::size_t ServeClient::poll_answers(double timeout_s) {
@@ -112,7 +104,6 @@ std::size_t ServeClient::poll_answers(double timeout_s) {
 ServeFrame ServeClient::get_report(double timeout_s) {
   ServeFrame req;
   req.kind = ServeKind::kGetReport;
-  req.id = next_request_id();
   send_frame(req);
   ServeFrame reply;
   if (!pump(timeout_s, ServeKind::kReport, &reply, nullptr)) {
@@ -124,27 +115,35 @@ ServeFrame ServeClient::get_report(double timeout_s) {
 void ServeClient::shutdown_server() {
   ServeFrame f;
   f.kind = ServeKind::kShutdown;
-  f.id = next_request_id();
   send_frame(f);
 }
 
-void ServeClient::send_frame(const ServeFrame& frame) {
+std::uint64_t ServeClient::send_frame(ServeFrame frame) {
+  frame.id = next_id_++;
   out_.clear();
   encode_serve_frame(frame, out_);
   std::size_t off = 0;
+  const auto t0 = Clock::now();
   while (off < out_.size()) {
-    const ssize_t put = ::write(fd_, out_.data() + off, out_.size() - off);
+    const ssize_t put =
+        ::send(fd_, out_.data() + off, out_.size() - off, MSG_NOSIGNAL);
     if (put > 0) {
       off += static_cast<std::size_t>(put);
       continue;
     }
     if (put < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // The server is not reading; wait for room, but not for ever.
+      const double remaining = write_timeout_ - seconds_since(t0);
+      if (remaining <= 0.0) {
+        throw std::runtime_error("serve client: write timed out");
+      }
       pollfd pfd{fd_, POLLOUT, 0};
-      if (::poll(&pfd, 1, 1000) <= 0) continue;  // deadline-free: tiny frames
+      (void)::poll(&pfd, 1, static_cast<int>(std::min(remaining, 1.0) * 1e3));
       continue;
     }
     throw std::runtime_error("serve client: connection lost on write");
   }
+  return frame.id;
 }
 
 bool ServeClient::pump(double timeout_s, ServeKind wait_for, ServeFrame* reply,
@@ -274,16 +273,9 @@ std::size_t drive_query_stream(ServeClient& client,
       ops.push_back(Op{0.0, false});
       break;
     case EventKind::kQueryStream: {
-      const auto flavour = [&](std::size_t i) {
-        switch (event.mix) {
-          case QueryMix::kRange:
-            return true;
-          case QueryMix::kRadius:
-            return false;
-          case QueryMix::kMixed:
-            return i % 2 == 0;
-        }
-        return false;
+      const auto flavour = [mix = event.mix](std::size_t i) {
+        return mix == QueryMix::kRange ||
+               (mix == QueryMix::kMixed && i % 2 == 0);
       };
       if (event.spread == Spread::kPoisson) {
         std::size_t i = 0;

@@ -9,8 +9,8 @@
 //
 // Threading: a ServeClient is single-threaded -- every method runs on
 // the caller's thread, reads drain inline.  The fd is nonblocking; the
-// "blocking" methods poll with deadlines so a dead server surfaces as
-// a timeout error, not a hang.
+// "blocking" methods -- writes included -- poll with deadlines so a dead
+// or wedged server surfaces as a timeout error, not a hang.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +35,11 @@ class ServeClient {
 
   /// Connect to "uds:..." / "tcp:...", retrying until `connect_timeout`
   /// wall seconds elapse (the server process may still be populating its
-  /// overlay), then complete the kHello round trip.  Throws
-  /// std::runtime_error on timeout or a malformed spec.
+  /// overlay), then complete the kHello round trip.  `connect_timeout`
+  /// is also the handshake deadline and the deadline of every later
+  /// frame write: a server that stops reading for that long makes the
+  /// write throw.  Throws std::runtime_error on timeout or a malformed
+  /// spec.
   explicit ServeClient(const std::string& spec, double connect_timeout = 30.0);
   ~ServeClient();
 
@@ -68,8 +71,10 @@ class ServeClient {
   [[nodiscard]] std::uint64_t outstanding() const { return outstanding_; }
 
  private:
-  std::uint64_t next_request_id();
-  void send_frame(const ServeFrame& frame);
+  /// Stamp `frame` with the next request id and write it whole; returns
+  /// the id.  Throws std::runtime_error when the write takes longer than
+  /// write_timeout_ seconds, or the connection breaks.
+  std::uint64_t send_frame(ServeFrame frame);
   /// Read + dispatch frames until one of kind `wait_for` arrives (into
   /// `reply`) or `timeout_s` elapses; pass kAnswer to just drain.
   /// Returns false on timeout; throws on EOF / corrupt stream.
@@ -77,6 +82,7 @@ class ServeClient {
             std::size_t* answers);
 
   int fd_ = -1;
+  double write_timeout_ = 0.0;  ///< the constructor's connect_timeout
   std::uint64_t next_id_ = 1;
   std::uint64_t outstanding_ = 0;
   std::uint64_t objects_ = 0;

@@ -1,10 +1,12 @@
 #include "net/serve_loop.hpp"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -13,15 +15,29 @@
 
 namespace voronet::net {
 
+namespace {
+
+/// A submission the QueryServer contract checks would throw on: a
+/// non-finite coordinate (a radius frame decodes with b = a), or a
+/// negative or NaN radius / tolerance.  Refused here, a client's bad
+/// input ends that client's connection instead of the serve loop.
+bool malformed_submit(const ServeFrame& f) {
+  const auto finite = [](Vec2 p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  };
+  return !finite(f.a) || !finite(f.b) || !(f.tol >= 0.0);
+}
+
+}  // namespace
+
 ServedShard::ServedShard(const ServedConfig& config) : config_(config) {
   protocol::HarnessConfig hc;
   hc.transport = config.backend;
   hc.transport_shards = config.shards;
-  hc.transport_listen = config.transport_listen;
   hc.seed = config.seed;
-  // Short wires, like bench_serve's cells: on the thread and socket
-  // backends these are wall-clock seconds, and a shard should answer in
-  // milliseconds, not simulated-WAN seconds.
+  // Short wires, like bench_serve's cells: on the thread backend these
+  // are wall-clock seconds, and a shard should answer in milliseconds,
+  // not simulated-WAN seconds.
   hc.network.latency =
       protocol::LatencyModel::uniform(config.latency_low, config.latency_high);
   hc.network.seed = config.seed ^ 0x77aabULL;
@@ -147,11 +163,20 @@ bool ServedShard::handle_frame(Client& client, const ServeFrame& frame) {
       ack.id = frame.id;
       ack.objects = query_harness_->harness().node_count();
       ack.topology_version = query_harness_->harness().topology_version();
-      send_frame(client, ack);
+      encode_serve_frame(ack, client.out);
       return true;
     }
     case ServeKind::kSubmitRadius:
     case ServeKind::kSubmitRange: {
+      if (malformed_submit(frame)) {
+        std::fprintf(stderr,
+                     "served: dropping client %llu: malformed %s frame "
+                     "(non-finite coordinate, or negative or NaN "
+                     "radius / tolerance)\n",
+                     static_cast<unsigned long long>(client.serial),
+                     serve_kind_name(frame.kind));
+        return false;
+      }
       const serve::QueryServer::TicketId ticket =
           frame.kind == ServeKind::kSubmitRadius
               ? server_->submit_radius(frame.a, frame.tol)
@@ -161,7 +186,7 @@ bool ServedShard::handle_frame(Client& client, const ServeFrame& frame) {
       return true;
     }
     case ServeKind::kGetReport:
-      send_frame(client, build_report(frame.id));
+      encode_serve_frame(build_report(frame.id), client.out);
       return true;
     case ServeKind::kShutdown:
       stop();
@@ -195,7 +220,7 @@ void ServedShard::sweep_answers() {
       a.topology_version = t.completed_version;
       a.server_latency = t.rejected ? 0.0 : t.latency();
       a.matches.assign(t.matches.begin(), t.matches.end());
-      send_frame(*client, a);
+      encode_serve_frame(a, client->out);
     }
     ++answered_;
     pending_[i] = pending_.back();
@@ -203,14 +228,13 @@ void ServedShard::sweep_answers() {
   }
 }
 
-void ServedShard::send_frame(Client& client, const ServeFrame& frame) {
-  encode_serve_frame(frame, client.out);
-}
-
 bool ServedShard::flush_client(Client& client) {
   while (client.out_off < client.out.size()) {
-    const ssize_t put = ::write(client.fd, client.out.data() + client.out_off,
-                                client.out.size() - client.out_off);
+    // MSG_NOSIGNAL: a client that hung up with answers pending must cost
+    // its connection (EPIPE), not the process (SIGPIPE).
+    const ssize_t put =
+        ::send(client.fd, client.out.data() + client.out_off,
+               client.out.size() - client.out_off, MSG_NOSIGNAL);
     if (put > 0) {
       client.out_off += static_cast<std::size_t>(put);
       continue;

@@ -1,14 +1,15 @@
 // ServedShard: one process hosting an overlay shard behind a socket.
 //
 // This is the multi-process face of the serving layer: the shard owns a
-// populated ProtocolHarness (any transport backend for the overlay's
-// OWN wire traffic -- sim, thread, or socket) plus the src/serve
-// front-end (admission, result cache), and listens on a Unix
-// or TCP socket speaking serve_wire frames.  External clients submit
-// radius / range queries and receive kAnswer frames with the exact
-// match sets; kGetReport drains the transport, grades every ticket
-// against the sequential ground truth (serve::grade_tickets, the grader
-// of serve::run_open_loop), and ships the stats back.
+// populated ProtocolHarness (thread or sim backend for the overlay's
+// OWN wire traffic) plus the src/serve front-end (admission, result
+// cache), and listens on a Unix or TCP socket speaking serve_wire
+// frames.  That socket is the client boundary, not the overlay wire.
+// External clients submit radius / range queries and receive kAnswer
+// frames with the exact match sets; kGetReport drains the transport,
+// grades every ticket against the sequential ground truth
+// (serve::grade_tickets, the grader of serve::run_open_loop), and ships
+// the stats back.
 //
 // Concurrency model: run() IS the transport's driving thread.  The loop
 // alternates short poll() passes over the client sockets with short
@@ -40,10 +41,9 @@ struct ServedConfig {
   /// Transport backend for the overlay's internal wire traffic.
   protocol::TransportKind backend = protocol::TransportKind::kThread;
   unsigned shards = 0;             ///< thread-backend actor threads
-  std::string transport_listen;    ///< socket-backend internal listen spec
   serve::ServeConfig serve;
-  /// Harness drive quantum per loop pass (wall seconds on the thread /
-  /// socket backends, virtual seconds on sim).
+  /// Harness drive quantum per loop pass (wall seconds on the thread
+  /// backend, virtual seconds on sim).
   double slice = 0.002;
   /// Short-wire latency model + failure detector, scaled like
   /// bench_serve's cells so shard numbers are comparable.
@@ -91,12 +91,15 @@ class ServedShard {
 
   void accept_clients();
   /// Drain readable bytes and execute every complete frame; returns
-  /// false when the connection must close (EOF or corrupt frame).
+  /// false when the connection must close (EOF, corrupt or malformed
+  /// frame).
   bool read_client(Client& client);
+  /// Execute one frame; returns false (after a stderr line) when the
+  /// frame is malformed -- a non-finite coordinate, or a negative or NaN
+  /// radius / tolerance -- or is a server-to-client kind.
   bool handle_frame(Client& client, const ServeFrame& frame);
   /// Move answered tickets from pending_ to their clients' out buffers.
   void sweep_answers();
-  void send_frame(Client& client, const ServeFrame& frame);
   /// Write as much of client.out as the socket accepts.
   bool flush_client(Client& client);
   [[nodiscard]] Client* find_client(std::uint64_t serial);

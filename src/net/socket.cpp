@@ -56,6 +56,13 @@ void set_nodelay(int fd) {
   (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// O_NONBLOCK on a fresh fd; returns false on fcntl failure.
+bool set_nonblocking(int fd) {
+  const int flags = fcntl(fd, F_GETFL, 0);
+  if (flags < 0) return false;
+  return fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
 }  // namespace
 
 std::string Address::spec() const {
@@ -103,12 +110,6 @@ std::string unique_uds_path() {
   if (dir.back() == '/') dir.pop_back();
   return dir + "/voronet-" + std::to_string(::getpid()) + "-" +
          std::to_string(counter.fetch_add(1)) + ".sock";
-}
-
-bool set_nonblocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  return fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
 int open_listener(const Address& addr, Address& resolved, std::string& err) {

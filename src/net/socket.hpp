@@ -1,17 +1,18 @@
-// Thin POSIX socket helpers for the net subsystem: address parsing and
-// nonblocking listen/connect/accept.
+// Thin POSIX socket helpers for the serving boundary: address parsing
+// and nonblocking listen/connect/accept, used by the served shard
+// (serve_loop.hpp) and its client (serve_client.hpp).
 //
 // Two address families, one textual spec format:
 //
 //   "uds:/path/to.sock"    Unix-domain stream socket
 //   "tcp:127.0.0.1:7447"   TCP (numeric IPv4 host, or "localhost")
 //
-// Everything here is nonblocking from birth: the event loop in
-// SocketTransport and the serving layer never wants a blocking fd, and
-// handing one out by accident is the classic way a transport wedges.
+// Everything here is nonblocking from birth: the shard's poll loop and
+// the client's deadline-bounded calls never want a blocking fd, and
+// handing one out by accident is the classic way a server wedges.
 // Failures are reported by return value + errno-derived message, not
-// exceptions -- connect failures are routine (the peer process is still
-// starting) and handled by backoff, not stack unwinding.
+// exceptions -- connect failures are routine (the server process is
+// still starting) and handled by retry, not stack unwinding.
 #pragma once
 
 #include <cstdint>
@@ -61,14 +62,11 @@ struct Address {
 /// applies.  Returns -1 when none is pending (EAGAIN) or on error.
 [[nodiscard]] int accept_conn(int listen_fd);
 
-/// O_NONBLOCK on an inherited fd; returns false on fcntl failure.
-bool set_nonblocking(int fd);
-
 // --- Framed-connection reassembly -------------------------------------------
-// Every framed connection in src/net (transport inbound, served client,
-// serve client) keeps a reassembly buffer plus the offset of its consumed
-// prefix; these two helpers are its read and reclaim halves.  Decoding
-// and the error policy stay with each caller.
+// Every framed connection in src/net (the shard's side and the client's
+// side of a serving session) keeps a reassembly buffer plus the offset of
+// its consumed prefix; these two helpers are its read and reclaim
+// halves.  Decoding and the error policy stay with each caller.
 
 /// Append everything the nonblocking `fd` has ready to `buf`, reading
 /// until EAGAIN.  Returns false on EOF or a hard error; bytes read before

@@ -8,12 +8,11 @@
 // the layout arithmetic so accounting-only consumers need not link the
 // codec.
 //
-// Allocation discipline: encode writes into a caller-owned buffer that
-// the socket layer reuses per connection, and decode fills a
-// caller-provided Message whose `entries` vector the caller drafts from
-// the transport's retired-payload pool -- steady-state socket traffic
-// allocates nothing on either side once buffers have grown to the
-// working set.
+// Allocation discipline: encode writes into a caller-owned buffer the
+// caller may reuse, and decode fills a caller-provided Message whose
+// `entries` vector the caller may draft from a transport's retired-
+// payload pool -- a steady stream of frames allocates nothing on either
+// side once buffers have grown to the working set.
 #pragma once
 
 #include <cstdint>

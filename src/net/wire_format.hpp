@@ -1,15 +1,18 @@
 // The VoroNet wire format, version 1: frame layout constants and the
 // size function.
 //
-// Everything that crosses a process boundary -- transport frames between
-// SocketTransport peers, and nothing else -- is one length-prefixed
-// little-endian frame per protocol::Message.  This header holds only the
-// layout arithmetic (offsets, sizes, magic/version constants), so that
-// layers which must *account* for wire bytes without ever touching a
-// socket -- the sim and thread backends' reliable core bills serialized
-// bytes per message kind through sim::Metrics -- can depend on the numbers
-// without pulling in the codec or any socket code.  The codec itself
-// (wire_codec.hpp) is the only writer/reader of the layout.
+// One length-prefixed little-endian frame per protocol::Message.  No
+// overlay message crosses a process boundary today: both backends run
+// the overlay inside one process, and a served shard's socket speaks
+// serve_wire.hpp instead.  The format is kept because it is the wire
+// bill -- the reliable core charges wire_frame_size() per transmission
+// and per message kind through sim::Metrics -- and because a
+// cross-process overlay wire will frame with it once dedup is owned by
+// the receiver (ROADMAP).  This header holds only the layout arithmetic
+// (offsets, sizes, magic/version constants), so the billing layers
+// depend on the numbers without pulling in the codec or any socket code.
+// The codec itself (wire_codec.hpp) is the only writer/reader of the
+// layout.
 //
 // Frame layout (all integers little-endian, doubles as little-endian
 // IEEE-754 bit patterns):
@@ -89,9 +92,9 @@ static_assert(sim::kMessageKindCount == 13,
               "update this count");
 
 /// Serialized bytes of one message, length prefix included -- the number
-/// a SocketTransport actually writes per wire attempt, and the number
-/// the Sim/Thread backends bill per transmission so all three backends
-/// report identical bytes-on-wire for identical traffic.
+/// encode_frame() writes, and the number both backends bill per
+/// transmission, so they report identical bytes-on-wire for identical
+/// traffic.
 [[nodiscard]] inline std::size_t wire_frame_size(
     const protocol::Message& msg) {
   return kFramePrefixBytes + kFixedBodyBytes +

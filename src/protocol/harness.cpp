@@ -5,7 +5,6 @@
 
 #include "common/expect.hpp"
 #include "geometry/voronoi.hpp"
-#include "net/socket_transport.hpp"
 #include "protocol/sim_transport.hpp"
 #include "protocol/thread_transport.hpp"
 #include "voronet/queries.hpp"
@@ -24,12 +23,6 @@ std::unique_ptr<Transport> make_transport(const HarnessConfig& config) {
   if (config.transport == TransportKind::kThread) {
     return std::make_unique<ThreadTransport>(config.network,
                                              config.transport_shards);
-  }
-  if (config.transport == TransportKind::kSocket) {
-    net::SocketTransportConfig socket_config;
-    socket_config.listen = config.transport_listen;
-    return std::make_unique<net::SocketTransport>(config.network,
-                                                  std::move(socket_config));
   }
   return std::make_unique<SimTransport>(config.network);
 }

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -54,10 +53,6 @@ struct HarnessConfig {
   /// Actor threads for the thread backend (0 = derive from the host);
   /// ignored by the sim backend.
   unsigned transport_shards = 0;
-  /// Listen address spec for the socket backend ("uds:/path" /
-  /// "tcp:host:port"; empty picks a fresh Unix-domain path).  Ignored by
-  /// the sim and thread backends.
-  std::string transport_listen;
   /// Delay between a crash and the survivors' repair dissemination (the
   /// failure-detection latency of the paper's fault model).
   double failure_detect_delay = 1.0;

@@ -242,11 +242,6 @@ NetworkStats ReliableCore::stats() const {
   return stats_;
 }
 
-void ReliableCore::count_wire_losses(std::size_t frames) {
-  const auto lk = guard();
-  stats_.dropped += frames;
-}
-
 // ---------------------------------------------------------------------------
 // Send / failure injection
 // ---------------------------------------------------------------------------

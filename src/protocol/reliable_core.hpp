@@ -1,5 +1,5 @@
 // The reliable-delivery core of the protocol engine: one state machine,
-// three wires.
+// two wires.
 //
 // Every Transport backend carries protocol messages through this class.
 // A non-ack send() occupies a transfer slot until the receiver's ack
@@ -26,8 +26,7 @@
 // carry a message so it arrives after a delay, arm or cancel a
 // retransmit timer, and hand a delivered or abandoned message up (plus
 // Transport's clock and driving calls).  SimTransport implements them on
-// sim::EventQueue; ConcurrentTransport's subclasses on shard threads or
-// a socket poll loop.
+// sim::EventQueue, ThreadTransport on shard threads.
 //
 // Locking: a core built `concurrent` serialises every public entry
 // point, and the wire entry points arrive() / on_timeout(), on one mutex
@@ -182,8 +181,6 @@ class ReliableCore : public Transport {
   void on_timeout(std::uint32_t slot, std::uint64_t transfer_id);
   /// Return a payload vector's capacity to the draft pool.
   void recycle_payload(std::vector<ViewEntry>&& entries);
-  /// Bill `frames` carried wire attempts that the wire lost afterwards.
-  void count_wire_losses(std::size_t frames);
 
   /// Run the sink or the abandon handler (never under the lock).
   void invoke(Upcall kind, const Message& msg) const;

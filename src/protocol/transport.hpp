@@ -10,9 +10,9 @@
 //     runs; every committed golden replay pins the sim semantics.
 //   * ThreadTransport (thread_transport.hpp): in-process actor threads
 //     with per-node MPSC mailboxes and real monotonic-clock timers.
-//     Wall-clock time, genuinely concurrent, NOT deterministic.
-//   * SocketTransport (net/socket_transport.hpp): codec frames through
-//     kernel sockets, driven by a poll loop.  Also NOT deterministic.
+//     Wall-clock time, genuinely concurrent, NOT deterministic.  The
+//     serving path runs the overlay on it; a served process's socket is
+//     the client boundary (net/serve_wire.hpp), not the overlay wire.
 //
 // The contract every backend satisfies (tests/transport_conformance_test
 // runs the suite against each):
@@ -40,8 +40,8 @@
 //     flight-recorder residue -- a recycled id inherits nothing.
 //
 // What is NOT universal: determinism (SimTransport only), and the
-// degradation windows / link filters, which the wall-clock backends
-// honour on a best-effort basis (a window "ends" when the driver says
+// degradation windows / link filters, which the wall-clock backend
+// honours on a best-effort basis (a window "ends" when the driver says
 // so, not at a virtual instant).
 #pragma once
 
@@ -102,10 +102,10 @@ struct NetworkStats {
   std::uint64_t injected_duplicates = 0;  ///< duplication-window copies
   std::uint64_t stalled_deferred = 0;     ///< arrivals parked at a stalled node
   /// Serialized bytes across all wire attempts (codec frame sizes, incl.
-  /// the length prefix): the bytes the socket backend writes, and the
-  /// bytes the sim/thread backends WOULD write -- all three bill through
-  /// net::wire_frame_size so the number is backend-comparable.  Per-kind
-  /// decomposition lives in sim::Metrics::wire_bytes().
+  /// the length prefix): the bytes a frame-writing wire would write --
+  /// both backends bill through net::wire_frame_size so the number is
+  /// backend-comparable.  Per-kind decomposition lives in
+  /// sim::Metrics::wire_bytes().
   std::uint64_t wire_bytes = 0;
 };
 
@@ -175,7 +175,7 @@ class Transport {
   // --- Clock & driving -----------------------------------------------------
   //
   // now() is the backend's native clock: virtual seconds (SimTransport)
-  // or monotonic wall seconds since construction (thread, socket).
+  // or monotonic wall seconds since construction (ThreadTransport).
   // schedule() runs `fn` on the driving thread at now() + delay; the
   // protocol layer's own timers ride this one channel on every backend.
 
@@ -209,7 +209,7 @@ class Transport {
 
   [[nodiscard]] virtual sim::Metrics& metrics() = 0;
   [[nodiscard]] virtual const sim::Metrics& metrics() const = 0;
-  /// A snapshot (the concurrent backends copy it under their lock).
+  /// A snapshot (ThreadTransport copies it under its lock).
   [[nodiscard]] virtual NetworkStats stats() const = 0;
   [[nodiscard]] virtual const NetworkConfig& config() const = 0;
   [[nodiscard]] virtual double retransmit_timeout() const = 0;
@@ -232,7 +232,6 @@ class Transport {
 enum class TransportKind : std::uint8_t {
   kSim,     ///< deterministic event-queue simulation (the default)
   kThread,  ///< in-process actor threads, wall-clock timers
-  kSocket,  ///< real frames over kernel sockets (net/socket_transport.hpp)
 };
 
 }  // namespace voronet::protocol

@@ -125,9 +125,9 @@ class Metrics {
 
   /// Serialized bytes-on-wire for one transmission of `kind` (the codec
   /// frame size, net/wire_format.hpp).  Every transport backend bills
-  /// through this one channel -- the sim and thread backends charge the
-  /// bytes the socket backend would actually write, so bytes-per-kind is
-  /// comparable across backends for identical traffic.
+  /// through this one channel -- the bytes a frame-writing wire would
+  /// write -- so bytes-per-kind is comparable across backends for
+  /// identical traffic.
   void count_wire_bytes(MessageKind kind, std::size_t bytes) {
     wire_bytes_[static_cast<std::size_t>(kind)] += bytes;
   }

@@ -4,7 +4,13 @@
 // multi-process serving layer (ServedShard behind a Unix-domain socket,
 // driven by ServeClient from the test thread).
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <future>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -397,6 +403,166 @@ TEST(ServedShard, AnswersRemoteClientsExactly) {
     client.shutdown_server();
   }
   server.join();
+}
+
+// Polls `client` until the server closes its connection; false when the
+// connection is still open after `timeout_s`.
+bool server_hangs_up(ServeClient& client, double timeout_s) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_s);
+  while (std::chrono::steady_clock::now() < deadline) {
+    try {
+      client.poll_answers(0.05);
+    } catch (const std::runtime_error&) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ServedShard, MalformedSubmitDropsOnlyThatClient) {
+  ServedConfig config;
+  config.objects = 60;
+  config.seed = 0x5eedULL;
+  ServedShard shard(config);
+  std::thread server([&shard] { shard.serve(); });
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  {
+    ServeClient bad(shard.address().spec());
+    bad.submit_radius({0.5, 0.5}, -1.0);
+    EXPECT_TRUE(server_hangs_up(bad, 10.0)) << "negative radius";
+  }
+  {
+    ServeClient bad(shard.address().spec());
+    bad.submit_range({0.1, 0.1}, {0.7, 0.7}, nan);
+    EXPECT_TRUE(server_hangs_up(bad, 10.0)) << "NaN tolerance";
+  }
+  {
+    ServeClient bad(shard.address().spec());
+    bad.submit_range({0.1, 0.1}, {inf, 0.7}, 0.05);
+    EXPECT_TRUE(server_hangs_up(bad, 10.0)) << "infinite coordinate";
+  }
+
+  // The shard still serves everyone else, exactly.
+  {
+    ServeClient client(shard.address().spec());
+    client.submit_radius({0.5, 0.5}, 0.2);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (client.outstanding() > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      client.poll_answers(0.1);
+    }
+    EXPECT_EQ(client.outstanding(), 0u);
+    const ServeFrame report = client.get_report();
+    EXPECT_TRUE(report.drained);
+    EXPECT_EQ(report.submitted, 1u);
+    EXPECT_EQ(report.graded, 1u);
+    EXPECT_EQ(report.recall, 1.0);
+    EXPECT_EQ(report.precision, 1.0);
+    client.shutdown_server();
+  }
+  server.join();
+}
+
+TEST(ServedShard, ClientHangingUpWithAnswersPendingCostsOnlyItsConnection) {
+  ServedConfig config;
+  config.objects = 60;
+  config.seed = 0x5eedULL;
+  ServedShard shard(config);
+  std::thread server([&shard] { shard.serve(); });
+
+  for (int round = 0; round < 3; ++round) {
+    // Hang up after the first answer, with the rest still owed: the
+    // shard's next write to this client hits a closed socket.
+    ServeClient quitter(shard.address().spec());
+    for (int i = 0; i < 200; ++i) quitter.submit_radius({0.5, 0.5}, 0.3);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (quitter.outstanding() == 200 &&
+           std::chrono::steady_clock::now() < deadline) {
+      quitter.poll_answers(0.01);
+    }
+  }
+
+  {
+    ServeClient client(shard.address().spec());
+    client.submit_radius({0.5, 0.5}, 0.2);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (client.outstanding() > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      client.poll_answers(0.1);
+    }
+    EXPECT_EQ(client.outstanding(), 0u);
+    const ServeFrame report = client.get_report();
+    EXPECT_TRUE(report.drained);
+    EXPECT_EQ(report.recall, 1.0);
+    EXPECT_EQ(report.precision, 1.0);
+    client.shutdown_server();
+  }
+  server.join();
+}
+
+TEST(ServeClient, WriteToAServerThatStopsReadingTimesOut) {
+  // A listener that answers the hello and then never reads again.
+  Address want;
+  Address bound;
+  std::string err;
+  ASSERT_TRUE(parse_address("uds:" + unique_uds_path(), want, err)) << err;
+  const int listen_fd = open_listener(want, bound, err);
+  ASSERT_GE(listen_fd, 0) << err;
+  std::promise<void> client_done;
+  std::thread listener([listen_fd, done = client_done.get_future()] {
+    pollfd pfd{listen_fd, POLLIN, 0};
+    int fd = -1;
+    while (fd < 0 && ::poll(&pfd, 1, 10'000) > 0) fd = accept_conn(listen_fd);
+    if (fd < 0) return;
+    std::vector<std::uint8_t> in;
+    ServeFrame hello;
+    std::size_t consumed = 0;
+    pollfd cfd{fd, POLLIN, 0};
+    while (decode_serve_frame(in.data(), in.size(), consumed, hello) ==
+               DecodeStatus::kNeedMore &&
+           ::poll(&cfd, 1, 10'000) > 0 && read_available(fd, in)) {
+    }
+    ServeFrame ack;
+    ack.kind = ServeKind::kHelloAck;
+    ack.id = hello.id;
+    std::vector<std::uint8_t> out;
+    encode_serve_frame(ack, out);
+    EXPECT_EQ(::write(fd, out.data(), out.size()),
+              static_cast<ssize_t>(out.size()));
+    done.wait();  // hold the connection open, unread
+    ::close(fd);
+  });
+
+  const auto t0 = std::chrono::steady_clock::now();
+  bool connected = false;
+  bool threw = false;
+  try {  // nothing may escape before the listener is joined
+    ServeClient client(bound.spec(), /*connect_timeout=*/1.0);
+    connected = true;
+    // Fill the socket buffer; the first write that cannot finish within
+    // the 1 s deadline throws.
+    for (int i = 0; i < 10'000'000; ++i) {
+      client.submit_radius({0.5, 0.5}, 0.1);
+    }
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  client_done.set_value();
+  listener.join();
+  ::close(listen_fd);
+  ::unlink(bound.path.c_str());
+  EXPECT_TRUE(connected);
+  EXPECT_TRUE(threw);
+  EXPECT_LT(elapsed, 5.0);
 }
 
 }  // namespace

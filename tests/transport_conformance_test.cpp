@@ -1,9 +1,8 @@
 // Transport conformance: the seam contract, proven against every backend.
 //
-// Every test in this file runs three times -- over SimTransport (the
-// deterministic event-queue simulation), over ThreadTransport (real
-// shard threads, monotonic-clock deadlines) and over SocketTransport
-// (codec frames through a loopback Unix-domain socket).  The assertions
+// Every test in this file runs twice -- over SimTransport (the
+// deterministic event-queue simulation) and over ThreadTransport (real
+// shard threads, monotonic-clock deadlines).  The assertions
 // are the transport contract of protocol/transport.hpp: exactly-once
 // delivery under loss, at-least-once under duplication, bounded dedup
 // state, capped retransmission with give-up, partition and heal, stall
@@ -20,14 +19,14 @@
 #include <thread>
 #include <vector>
 
-#include "net/socket_transport.hpp"
+#include "common/expect.hpp"
 #include "protocol/sim_transport.hpp"
 #include "protocol/thread_transport.hpp"
 
 namespace voronet::protocol {
 namespace {
 
-enum class Backend { kSim, kThread, kSocket };
+enum class Backend { kSim, kThread };
 
 class TransportConformance : public ::testing::TestWithParam<Backend> {
  protected:
@@ -35,14 +34,6 @@ class TransportConformance : public ::testing::TestWithParam<Backend> {
     if (GetParam() == Backend::kThread) {
       return std::make_unique<ThreadTransport>(config, /*shards=*/2,
                                                /*patience=*/30.0);
-    }
-    if (GetParam() == Backend::kSocket) {
-      // Loopback over a Unix-domain socket: every frame and ack crosses
-      // the kernel and comes back in through accept().
-      net::SocketTransportConfig socket_config;
-      socket_config.patience = 30.0;
-      return std::make_unique<net::SocketTransport>(config,
-                                                    std::move(socket_config));
     }
     return std::make_unique<SimTransport>(config);
   }
@@ -376,17 +367,22 @@ TEST_P(TransportConformance, DraftReservePathPresizesAndRecyclesPayloads) {
       << "draft() after a settled send must reuse the pooled payload";
 }
 
+// An explicit shard count past the cap is refused before any thread
+// starts (each shard is one OS thread).
+TEST(ThreadTransportShards, CountAboveCapIsAContractError) {
+  EXPECT_THROW(
+      ThreadTransport(NetworkConfig{}, ThreadTransport::kMaxShards + 1),
+      ContractError);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
-                         ::testing::Values(Backend::kSim, Backend::kThread,
-                                           Backend::kSocket),
+                         ::testing::Values(Backend::kSim, Backend::kThread),
                          [](const auto& info) {
                            switch (info.param) {
                              case Backend::kSim:
                                return "sim";
                              case Backend::kThread:
                                return "thread";
-                             case Backend::kSocket:
-                               return "socket";
                            }
                            return "unknown";
                          });

@@ -6,18 +6,24 @@
 // together they are the repo's multi-process quickstart (README.md).
 //
 //   voronet_served --listen uds:/tmp/voronet.sock --objects 150
-//   voronet_served --listen tcp:127.0.0.1:7447 --backend socket
+//   voronet_served --listen tcp:127.0.0.1:7447 --backend sim
 //
 // Flags:
 //   --listen SPEC       client-facing address (default: fresh UDS path)
 //   --objects N         overlay population (default 150)
 //   --seed S            run seed
-//   --backend B         overlay-internal transport: thread|sim|socket
-//   --shards K          thread-backend actor threads (0 = derive)
-//   --transport-listen  socket-backend internal listen spec
+//   --backend B         overlay-internal transport: thread|sim
+//   --shards K          thread-backend actor threads (0 = derive, at
+//                       most 64)
 //   --queue-capacity N  admission bound of the serving front-end
+//
+// Exit status: 0 after a kShutdown, 2 on a usage error (unknown backend,
+// negative count), 1 on any other failure.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common/flags.hpp"
@@ -28,24 +34,35 @@ int main(int argc, char** argv) try {
 
   Flags flags(argc, argv);
   net::ServedConfig config;
+  // Counts are read as signed and checked before any cast: an unsigned
+  // cast would turn --shards -1 into 4,294,967,295 threads.
+  bool usage_ok = true;
+  const auto count = [&flags, &usage_ok](const char* name,
+                                         std::int64_t def) {
+    const std::int64_t v = flags.get_int(name, def);
+    if (v >= 0) return static_cast<std::uint64_t>(v);
+    std::cerr << "voronet_served: --" << name << " must not be negative (got "
+              << v << ")\n";
+    usage_ok = false;
+    return std::uint64_t{0};
+  };
   config.listen = flags.get_string("listen", "");
-  config.objects =
-      static_cast<std::size_t>(flags.get_int("objects", 150));
+  config.objects = count("objects", 150);
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 0x5e12d));
-  config.shards = static_cast<unsigned>(flags.get_int("shards", 0));
-  config.transport_listen = flags.get_string("transport-listen", "");
-  config.serve.queue_capacity =
-      static_cast<std::size_t>(flags.get_int("queue-capacity", 256));
+  // Saturate rather than wrap: ThreadTransport rejects anything past its
+  // shard cap.
+  config.shards = static_cast<unsigned>(std::min<std::uint64_t>(
+      count("shards", 0), std::numeric_limits<unsigned>::max()));
+  config.serve.queue_capacity = count("queue-capacity", 256);
+  if (!usage_ok) return 2;
   const std::string backend = flags.get_string("backend", "thread");
   if (backend == "thread") {
     config.backend = protocol::TransportKind::kThread;
   } else if (backend == "sim") {
     config.backend = protocol::TransportKind::kSim;
-  } else if (backend == "socket") {
-    config.backend = protocol::TransportKind::kSocket;
   } else {
     std::cerr << "voronet_served: unknown --backend " << backend
-              << " (thread|sim|socket)\n";
+              << " (thread|sim)\n";
     return 2;
   }
   flags.reject_unconsumed();
