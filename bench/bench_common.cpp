@@ -2,10 +2,40 @@
 
 #include <atomic>
 #include <charconv>
+#include <fstream>
+#include <thread>
 
 #include "common/parallel.hpp"
 
 namespace voronet::bench {
+
+Json host_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      const auto start = line.find_first_not_of(" \t", colon + 1);
+      if (colon != std::string::npos && start != std::string::npos) {
+        cpu = line.substr(start);
+      }
+      break;
+    }
+  }
+  return Json::object()
+      .set("cpu", Json::string(cpu))
+      .set("nproc", Json::integer(std::thread::hardware_concurrency()))
+      .set("compiler", Json::string(VORONET_BUILD_COMPILER))
+      .set("flags", Json::string(VORONET_BUILD_FLAGS))
+      .set("build_type", Json::string(VORONET_BUILD_TYPE))
+      .set("git_sha", Json::string(VORONET_GIT_SHA));
+}
+
+void write_json_file(const std::string& path, Json doc) {
+  if (path.empty()) return;
+  doc.set("host", host_json());
+  voronet::write_json_file(path, doc);
+}
 
 Scale resolve_scale(const Args& args) {
   Scale s{};

@@ -27,7 +27,17 @@ namespace voronet::bench {
 // One definition for the whole repo (scenario reports use it too); see
 // src/common/json.hpp.
 using voronet::Json;
-using voronet::write_json_file;
+
+/// Where a result was measured, so numbers are compared only against
+/// numbers from the same host: {"cpu", "nproc", "compiler", "flags",
+/// "build_type", "git_sha"}.  The build fields are fixed when CMake
+/// configures the tree; git_sha is the checkout's HEAD at that time and
+/// empty outside a checkout.
+Json host_json();
+
+/// Write a bench's --json document (an object) with host_json() stamped
+/// in as its "host" member; a no-op when path is empty.
+void write_json_file(const std::string& path, Json doc);
 
 /// The common flag set, parsed once.  Bench-specific flags are queried
 /// through flags(); call finish() after the last query so unknown flags

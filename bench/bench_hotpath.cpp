@@ -6,13 +6,17 @@
 //   2. locate       -- point-location walk lengths with and without a good
 //      hint (the hint cache must make hinted walks O(1));
 //   3. routing      -- greedy route throughput over a frozen overlay,
-//      single-threaded and with parallel_for.
+//      single-threaded and with parallel_for;
+//   4. event_queue  -- sim::EventQueue events/s at 10^3..10^5 pending
+//      events (10^6 under --full) in a retransmit-shaped mix: each send
+//      is one event plus one timer, and the event cancels the timer.
 //
 // Emits a JSON document (--json PATH, conventionally BENCH_hotpath.json)
 // so the perf trajectory is tracked from commit to commit.
 //
 // Usage: bench_hotpath [--points N] [--locates L] [--objects K] [--routes M]
-//                      [--seed S] [--threads T] [--smoke] [--json PATH]
+//                      [--seed S] [--threads T] [--smoke] [--full]
+//                      [--json PATH]
 //
 // --smoke shrinks every dimension ~10x for the CI smoke run (~seconds).
 #include <algorithm>
@@ -26,6 +30,7 @@
 #include "common/timer.hpp"
 #include "geometry/delaunay.hpp"
 #include "geometry/predicates.hpp"
+#include "sim/event_queue.hpp"
 
 namespace {
 
@@ -36,6 +41,8 @@ struct HotpathScale {
   std::size_t locates;
   std::size_t objects;
   std::size_t routes;
+  std::size_t queue_events;  ///< executed events per event_queue row
+  std::vector<std::size_t> queue_pending;
   std::uint64_t seed;
 };
 
@@ -93,7 +100,7 @@ bench::Json bench_locate(const HotpathScale& s,
     cold_steps += dt.last_walk_steps();
     const Vec2 q{std::min(1.0, std::max(0.0, p.x + step * rng.uniform(-1, 1))),
                  std::min(1.0, std::max(0.0, p.y + step * rng.uniform(-1, 1)))};
-    dt.nearest(q, owner);
+    (void)dt.nearest(q, owner);
     hinted_steps += dt.last_walk_steps();
   }
   const double secs = t.seconds();
@@ -174,6 +181,55 @@ bench::Json bench_routing(const HotpathScale& s) {
       .set("workers", bench::Json::integer(parallel_workers()));
 }
 
+/// One event_queue row: `pending` events held steady while `events`
+/// of them execute.  Each send schedules its ack event at 2L (L drawn in
+/// [0.5, 2] ms) and a retransmit timer at 2 * 2 ms + 10 ms, so the ack
+/// always comes first: it cancels the timer and sends again, the shape
+/// of the sim transport's reliable traffic.  Both closures fit
+/// std::function's inline buffer, so the row times the queue alone.
+bench::Json bench_event_queue_row(std::size_t pending, std::size_t events,
+                                  std::uint64_t seed) {
+  struct Mix {
+    sim::EventQueue q;
+    Rng rng;
+    void send() {
+      const double latency = rng.uniform(0.5e-3, 2e-3);
+      const sim::TimerId rto = q.schedule_timer(14e-3, [] {});
+      q.schedule(2.0 * latency, [this, rto] {
+        q.cancel(rto);
+        send();
+      });
+    }
+  };
+  Mix mix{sim::EventQueue{}, Rng(seed)};
+  for (std::size_t i = 0; i < pending / 2; ++i) mix.send();
+  Timer t;
+  const auto run = mix.q.run_to_idle(events);
+  const double secs = t.seconds();
+  const double rate = static_cast<double>(run.processed) / secs;
+  std::cerr << "[hotpath] event_queue: " << rate << " events/s at "
+            << mix.q.pending() << " pending\n";
+  return bench::Json::object()
+      .set("pending", bench::Json::integer(mix.q.pending()))
+      .set("events", bench::Json::integer(run.processed))
+      .set("seconds", bench::Json::number(secs))
+      .set("events_per_sec", bench::Json::number(rate))
+      .set("ns_per_event", bench::Json::number(1e9 / rate));
+}
+
+bench::Json bench_event_queue(const HotpathScale& s) {
+  bench::Json rows = bench::Json::array();
+  for (const std::size_t pending : s.queue_pending) {
+    rows.push(bench_event_queue_row(pending, s.queue_events,
+                                    s.seed ^ 0xe7e47ULL));
+  }
+  return bench::Json::object()
+      .set("mix", bench::Json::string(
+                      "send = ack event + retransmit timer; ack cancels "
+                      "the timer and sends again"))
+      .set("rows", std::move(rows));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -188,6 +244,9 @@ int main(int argc, char** argv) try {
       args.flags().get_int("objects", smoke ? 5'000 : 50'000));
   s.routes = static_cast<std::size_t>(
       args.flags().get_int("routes", smoke ? 2'000 : 20'000));
+  s.queue_events = smoke ? 200'000 : 2'000'000;
+  s.queue_pending = {1'000, 10'000, 100'000};
+  if (args.full) s.queue_pending.push_back(1'000'000);
   s.seed = args.seed;
   const auto threads =
       static_cast<std::size_t>(args.flags().get_int("threads", 0));
@@ -202,7 +261,8 @@ int main(int argc, char** argv) try {
       .set("smoke", bench::Json::boolean(smoke))
       .set("bulk_insert", bench_bulk_insert(s, dt))
       .set("locate", bench_locate(s, dt))
-      .set("routing", bench_routing(s));
+      .set("routing", bench_routing(s))
+      .set("event_queue", bench_event_queue(s));
   bench::write_json_file(json_path, doc);
   if (json_path.empty()) {
     doc.write(std::cout);

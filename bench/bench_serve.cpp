@@ -328,7 +328,7 @@ int main(int argc, char** argv) try {
     Json arr = Json::array();
     for (const Cell& c : cells) arr.push(cell_json(c));
     doc.set("cells", std::move(arr));
-    write_json_file(args.json_path, doc);
+    bench::write_json_file(args.json_path, doc);
     std::cout << "wrote " << args.json_path << "\n";
   }
   return ok ? 0 : 1;

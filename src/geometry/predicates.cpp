@@ -61,16 +61,6 @@ Expansion<4> cross_expansion(Vec2 u, Vec2 v) {
   return Expansion<2>::product(u.x, v.y) - Expansion<2>::product(u.y, v.x);
 }
 
-int orient2d_exact(Vec2 a, Vec2 b, Vec2 c) {
-  // orient = (a x b) + (c x a)' + (b x c) with the symmetric decomposition
-  //   (ax*by - ay*bx) + (ay*cx - ax*cy) + (bx*cy - by*cx).
-  const auto t1 = cross_expansion(a, b);
-  const auto t2 = Expansion<2>::product(a.y, c.x) -
-                  Expansion<2>::product(a.x, c.y);
-  const auto t3 = cross_expansion(b, c);
-  return ((t1 + t2) + t3).sign();
-}
-
 /// Exact squared magnitude ux^2 + uy^2 as a <=4-component expansion.
 Expansion<4> lift_expansion(Vec2 u) {
   return Expansion<2>::product(u.x, u.x) + Expansion<2>::product(u.y, u.y);

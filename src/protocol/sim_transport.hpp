@@ -1,12 +1,13 @@
 // The deterministic Transport backend: the reliable-delivery core
 // (reliable_core.hpp) on a sim::EventQueue wire.
 //
-// Every wire attempt is one queue event at now() + its sampled latency,
-// and every retransmit timer a cancellable queue timer, so the sim
-// semantics (event ordering, Rng streams, retransmit jitter) are a pure
-// function of the scenario and seed.  The committed golden scenario
-// replays pin that claim (tests/scale_test.cpp,
-// CommittedScenariosReplayByteIdentical).
+// Every wire attempt is one queue event at now() + its sampled latency
+// (the message waits in a pooled slab slot; the event carries only the
+// slot index), and every retransmit timer a cancellable queue timer that
+// the settling ack erases from the queue.  So the sim semantics (event
+// ordering, Rng streams, retransmit jitter) are a pure function of the
+// scenario and seed.  The committed golden scenario replays pin that
+// claim (tests/scale_test.cpp, CommittedScenariosReplayByteIdentical).
 //
 // The event queue is owned HERE: the harness's own protocol timers
 // (failure detection, query deadlines, scheduled workload events) ride
@@ -15,6 +16,9 @@
 // consumers (the scenario Runner's sampling grid, tests that need the
 // raw queue) may reach through queue().
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "protocol/reliable_core.hpp"
 #include "sim/event_queue.hpp"
@@ -45,10 +49,27 @@ class SimTransport final : public ReliableCore {
 
  private:
   void carry(const Message& msg, double delay) override {
-    // The closure capture is the attempt's one payload copy; arrive()
-    // consumes it by move and recycles the vector into the draft pool.
-    queue_.schedule(delay,
-                    [this, m = msg]() mutable { arrive(std::move(m)); });
+    // The slab slot is the attempt's one payload copy; the [this, index]
+    // closure fits std::function's inline buffer, so the event itself
+    // allocates nothing.
+    std::uint32_t index;
+    if (free_attempts_.empty()) {
+      index = static_cast<std::uint32_t>(attempts_.size());
+      attempts_.push_back(msg);
+    } else {
+      index = free_attempts_.back();
+      free_attempts_.pop_back();
+      attempts_[index] = msg;
+    }
+    queue_.schedule(delay, [this, index] { land(index); });
+  }
+  /// Move the attempt out of its slab slot (a reentrant carry may grow
+  /// the slab) and hand it to arrive(), which consumes it by move and
+  /// recycles the payload vector into the draft pool.
+  void land(std::uint32_t index) {
+    Message msg = std::move(attempts_[index]);
+    free_attempts_.push_back(index);
+    arrive(std::move(msg));
   }
   sim::TimerId arm_retransmit(const Message& msg, double delay) override {
     return queue_.schedule_timer(
@@ -59,6 +80,10 @@ class SimTransport final : public ReliableCore {
   void cancel_retransmit(sim::TimerId timer) override { queue_.cancel(timer); }
 
   sim::EventQueue queue_;
+  /// In-flight wire attempts, one slot per carried message (free-list
+  /// recycled; a free slot's payload vector was moved out on landing).
+  std::vector<Message> attempts_;
+  std::vector<std::uint32_t> free_attempts_;
 };
 
 }  // namespace voronet::protocol

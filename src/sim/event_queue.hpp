@@ -12,13 +12,23 @@
 //                          timer fires suppresses the handler; a cancelled
 //                          event neither advances the clock nor counts as
 //                          processed.
+//
+// Layout: handlers live in a slot table (free-list recycled); the heap is
+// a 4-ary min-heap of POD nodes {at, seq, slot}, so sifting moves 24-byte
+// keys, never a std::function.  Each slot records its node's heap
+// position, which lets cancel() erase the node at once (O(log n)) and
+// destroy the handler's captures on the spot: the heap never holds a
+// dead entry, and it holds exactly pending() nodes.
+//
+// A TimerId is `generation << 32 | slot`.  A slot's generation starts at
+// 1 and advances every time the slot is released (fired or cancelled), so
+// a stale id whose slot has since been reused compares unequal and
+// cancel() leaves the new occupant alone; no id ever equals kNoTimer.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace voronet::sim {
@@ -48,17 +58,17 @@ class EventQueue {
   /// the event fires or is cancelled.
   TimerId schedule_timer(double delay, Handler fn);
 
-  /// Suppress a pending timer.  Returns true iff the timer was still
-  /// pending (false after it fired, was already cancelled, or never
-  /// existed).
+  /// Remove a pending timer and destroy its handler.  Returns true iff
+  /// the timer was still pending (false after it fired, was already
+  /// cancelled, or never existed).
   bool cancel(TimerId id);
 
-  /// Execute the earliest pending live event; returns false when idle.
+  /// Execute the earliest pending event; returns false when idle.
   bool step();
 
-  /// Drain the queue (cancelled timers are skipped, not executed).  Stops
-  /// after max_events executions and reports it in the result instead of
-  /// throwing, so callers can tell budget exhaustion from quiescence.
+  /// Drain the queue.  Stops after max_events executions and reports it
+  /// in the result instead of throwing, so callers can tell budget
+  /// exhaustion from quiescence.
   RunResult run_to_idle(std::size_t max_events = kDefaultEventBudget);
 
   /// Execute every event with timestamp <= horizon, then advance the clock
@@ -69,40 +79,52 @@ class EventQueue {
 
   [[nodiscard]] double now() const { return now_; }
   [[nodiscard]] bool idle() const { return pending() == 0; }
-  /// Live (non-cancelled) events still queued.
-  [[nodiscard]] std::size_t pending() const {
-    return heap_.size() - cancelled_in_heap_;
-  }
+  /// Events still queued (the heap's size: cancelled timers are gone).
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] std::size_t processed() const { return processed_; }
 
   static constexpr std::size_t kDefaultEventBudget = 100'000'000;
 
  private:
-  struct Event {
+  /// One heap entry: the (at, seq) order key and its handler's slot.
+  struct Node {
     double at;
     std::uint64_t seq;
-    TimerId timer;  ///< kNoTimer for plain events
+    std::uint32_t slot;
+  };
+  /// One handler-table entry.  pos is the node's heap index, kFree while
+  /// the slot is on the free list.
+  struct Slot {
     Handler fn;
+    std::uint32_t gen = 1;
+    std::uint32_t pos = kFree;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  static constexpr std::uint32_t kFree = 0xffffffffu;
 
-  /// Pop cancelled timers off the top (without advancing the clock) until
-  /// the top is live or the heap is empty.
-  void skim_cancelled();
+  [[nodiscard]] static bool before(const Node& a, const Node& b) {
+    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+  }
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  // Timers pending in the heap; a cancel() moves the id from here into
-  // limbo (tracked by cancelled_in_heap_) until its event is skimmed.
-  std::unordered_set<TimerId> live_timers_;
-  std::size_t cancelled_in_heap_ = 0;
+  /// Store fn in a free slot and push its node; returns the slot.
+  std::uint32_t push(double delay, Handler fn);
+  /// Remove the node at heap index i.
+  void erase_at(std::size_t i);
+  /// Fill the hole at heap index i with n, moving n towards the root /
+  /// towards the leaves.
+  void sift_up(std::size_t i, Node n);
+  void sift_down(std::size_t i, Node n);
+  void place(std::size_t i, const Node& n) {
+    heap_[i] = n;
+    slots_[n.slot].pos = static_cast<std::uint32_t>(i);
+  }
+  /// Free a slot (bumping its generation) and hand back its handler.
+  Handler release(std::uint32_t slot);
+
+  std::vector<Node> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  TimerId next_timer_ = 1;
   std::size_t processed_ = 0;
 };
 

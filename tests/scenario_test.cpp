@@ -76,8 +76,8 @@ TEST(ScenarioJson, FullRangeIntegersSurviveParseAndWrite) {
   const std::uint64_t odd53 = 9007199254740995ULL;  // 2^53 + 3
   EXPECT_EQ(Json::parse("9007199254740995").as_uint(), odd53);
   EXPECT_EQ(Json::parse("-42").as_int(), -42);
-  EXPECT_THROW(Json::parse("-1").as_uint(), std::invalid_argument);
-  EXPECT_THROW(Json::parse("1.5").as_uint(), std::invalid_argument);
+  EXPECT_THROW((void)Json::parse("-1").as_uint(), std::invalid_argument);
+  EXPECT_THROW((void)Json::parse("1.5").as_uint(), std::invalid_argument);
 }
 
 TEST(ScenarioJson, ParseRejectsMalformedInput) {
