@@ -11,10 +11,8 @@
 #include <thread>
 #include <unordered_map>
 
-#include "common/rng.hpp"
 #include "net/socket.hpp"
 #include "serve/open_loop.hpp"
-#include "voronet/queries.hpp"
 
 namespace voronet::net {
 
@@ -250,83 +248,6 @@ serve::LoadReport run_open_loop_remote(ServeClient& client,
   report.recall = rf.recall;
   report.precision = rf.precision;
   return report;
-}
-
-std::size_t drive_query_stream(ServeClient& client,
-                               const scenario::Event& event,
-                               std::uint64_t seed) {
-  using scenario::EventKind;
-  using scenario::QueryMix;
-  using scenario::Spread;
-  Rng rng(seed);
-
-  struct Op {
-    double t = 0.0;
-    bool range = false;
-  };
-  std::vector<Op> ops;
-  switch (event.kind) {
-    case EventKind::kRangeQuery:
-      ops.push_back(Op{0.0, true});
-      break;
-    case EventKind::kRadiusQuery:
-      ops.push_back(Op{0.0, false});
-      break;
-    case EventKind::kQueryStream: {
-      const auto flavour = [mix = event.mix](std::size_t i) {
-        return mix == QueryMix::kRange ||
-               (mix == QueryMix::kMixed && i % 2 == 0);
-      };
-      if (event.spread == Spread::kPoisson) {
-        std::size_t i = 0;
-        for (double t = rng.exponential(event.rate); t < event.duration;
-             t += rng.exponential(event.rate)) {
-          ops.push_back(Op{t, flavour(i++)});
-        }
-      } else {
-        for (std::size_t i = 0; i < event.count; ++i) {
-          const double t =
-              event.spread == Spread::kUniform
-                  ? rng.uniform(0.0, event.duration)
-                  : event.duration * static_cast<double>(i) /
-                        static_cast<double>(std::max<std::size_t>(
-                            event.count, 1));
-          ops.push_back(Op{t, flavour(i)});
-        }
-        std::sort(ops.begin(), ops.end(),
-                  [](const Op& x, const Op& y) { return x.t < y.t; });
-      }
-      break;
-    }
-    default:
-      throw std::runtime_error(
-          "drive_query_stream: event is not a query event");
-  }
-
-  const std::size_t population =
-      std::max<std::size_t>(client.objects(), 2);
-  const auto start = Clock::now();
-  for (const Op& op : ops) {
-    for (;;) {
-      const double wait = op.t - seconds_since(start);
-      if (wait <= 0.0) break;
-      client.poll_answers(std::min(wait, 0.05));
-    }
-    if (event.has_spec) {
-      if (op.range) {
-        client.submit_range(event.a, event.b, event.tol);
-      } else {
-        client.submit_radius(event.a, event.tol);
-      }
-    } else if (op.range) {
-      const QueryGeometry g = draw_range_geometry(rng, population);
-      client.submit_range(g.a, g.b, g.tol);
-    } else {
-      const QueryGeometry g = draw_radius_geometry(rng, population);
-      client.submit_radius(g.a, g.tol);
-    }
-  }
-  return ops.size();
 }
 
 }  // namespace voronet::net

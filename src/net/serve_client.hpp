@@ -1,11 +1,8 @@
 // Client side of the serving boundary: a blocking-convenience wrapper
-// over one serve_wire connection, plus the two workload drivers that
-// make a remote shard a drop-in measurement target --
-// run_open_loop_remote mirrors serve::run_open_loop (identical Poisson
-// schedule, identical LoadReport shape, wall-clock latencies measured
-// at THIS process), and drive_query_stream interprets the scenario
-// vocabulary's query events (kQueryStream / kRangeQuery /
-// kRadiusQuery) against the socket instead of an in-process harness.
+// over one serve_wire connection, plus the workload driver that makes a
+// remote shard a drop-in measurement target -- run_open_loop_remote
+// mirrors serve::run_open_loop (identical Poisson schedule, identical
+// LoadReport shape, wall-clock latencies measured at THIS process).
 //
 // Threading: a ServeClient is single-threaded -- every method runs on
 // the caller's thread, reads drain inline.  The fd is nonblocking; the
@@ -19,7 +16,6 @@
 #include <vector>
 
 #include "net/serve_wire.hpp"
-#include "scenario/events.hpp"
 
 namespace voronet::serve {
 struct LoadConfig;
@@ -103,16 +99,5 @@ class ServeClient {
 serve::LoadReport run_open_loop_remote(ServeClient& client,
                                        const serve::LoadConfig& config,
                                        ServeFrame* server_report = nullptr);
-
-/// Interpret one scenario query event against a remote shard: explicit
-/// kRangeQuery / kRadiusQuery geometry is submitted as-is, kQueryStream
-/// draws its mix and per-operation times (kEven / kUniform / kPoisson
-/// over [at, at+duration], taken as wall seconds from the call) and its
-/// scale-free geometry from `seed` exactly like the in-process
-/// scheduler.  Returns the number of queries submitted; answers arrive
-/// through the client's answer handler.
-std::size_t drive_query_stream(ServeClient& client,
-                               const scenario::Event& event,
-                               std::uint64_t seed);
 
 }  // namespace voronet::net

@@ -17,6 +17,15 @@ namespace voronet::net {
 
 namespace {
 
+/// Harness drive quantum per loop pass (wall seconds on the thread
+/// backend, virtual seconds on sim).
+constexpr double kSlice = 0.002;
+/// Short-wire latency model + failure detector, scaled like
+/// bench_serve's cells so shard numbers are comparable.
+constexpr double kLatencyLow = 0.0005;
+constexpr double kLatencyHigh = 0.002;
+constexpr double kFailureDetectDelay = 0.05;
+
 /// A submission the QueryServer contract checks would throw on: a
 /// non-finite coordinate (a radius frame decodes with b = a), or a
 /// negative or NaN radius / tolerance.  Refused here, a client's bad
@@ -30,7 +39,7 @@ bool malformed_submit(const ServeFrame& f) {
 
 }  // namespace
 
-ServedShard::ServedShard(const ServedConfig& config) : config_(config) {
+ServedShard::ServedShard(const ServedConfig& config) {
   protocol::HarnessConfig hc;
   hc.transport = config.backend;
   hc.transport_shards = config.shards;
@@ -39,9 +48,9 @@ ServedShard::ServedShard(const ServedConfig& config) : config_(config) {
   // are wall-clock seconds, and a shard should answer in milliseconds,
   // not simulated-WAN seconds.
   hc.network.latency =
-      protocol::LatencyModel::uniform(config.latency_low, config.latency_high);
+      protocol::LatencyModel::uniform(kLatencyLow, kLatencyHigh);
   hc.network.seed = config.seed ^ 0x77aabULL;
-  hc.failure_detect_delay = config.failure_detect_delay;
+  hc.failure_detect_delay = kFailureDetectDelay;
 
   query_harness_ = std::make_unique<protocol::QueryHarness>(hc);
   query_harness_->populate(config.objects, config.seed ^ 0x9e37ULL, 0.002);
@@ -104,7 +113,7 @@ std::uint64_t ServedShard::serve() {
     }
     // ... then one drive slice of the harness (protocol upcalls and
     // flood completions all run here, on this thread) ...
-    harness.run_until(harness.network().now() + config_.slice);
+    harness.run_until(harness.network().now() + kSlice);
     // ... then ship every answer that slice produced.
     sweep_answers();
     for (Client& c : clients_) {

@@ -42,14 +42,6 @@ struct ServedConfig {
   protocol::TransportKind backend = protocol::TransportKind::kThread;
   unsigned shards = 0;             ///< thread-backend actor threads
   serve::ServeConfig serve;
-  /// Harness drive quantum per loop pass (wall seconds on the thread
-  /// backend, virtual seconds on sim).
-  double slice = 0.002;
-  /// Short-wire latency model + failure detector, scaled like
-  /// bench_serve's cells so shard numbers are comparable.
-  double latency_low = 0.0005;
-  double latency_high = 0.002;
-  double failure_detect_delay = 0.05;
 };
 
 class ServedShard {
@@ -105,7 +97,6 @@ class ServedShard {
   [[nodiscard]] Client* find_client(std::uint64_t serial);
   [[nodiscard]] ServeFrame build_report(std::uint64_t request_id);
 
-  ServedConfig config_;
   std::unique_ptr<protocol::QueryHarness> query_harness_;
   std::unique_ptr<serve::QueryServer> server_;
   Address addr_;

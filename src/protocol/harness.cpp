@@ -85,7 +85,7 @@ void ProtocolHarness::start_join(Vec2 p) {
   // request materialises at that gateway and routes from there.  Route
   // messages carry the chain id in `version` so completion is
   // exactly-once even when a chain is rerouted around a crash.
-  const NodeId gateway = roster_[rng_.index(roster_.size())];
+  const NodeId gateway = random_node(rng_);
   Message m;
   m.type = sim::MessageKind::kJoin;
   m.src = gateway;
@@ -147,10 +147,8 @@ void ProtocolHarness::deliver(const Message& m) {
   switch (m.type) {
     case sim::MessageKind::kJoin:
     case sim::MessageKind::kRouteForward:
-      handle_route(m);
-      return;
     case sim::MessageKind::kQuery:
-      handle_query_route(m);
+      handle_route(m);
       return;
     case sim::MessageKind::kQueryForward:
       handle_query_forward(m);
@@ -177,41 +175,14 @@ void ProtocolHarness::deliver(const Message& m) {
   }
 }
 
-void ProtocolHarness::reroute_join(const Message& m) {
-  const auto j = active_joins_.find(m.version);
-  if (j == active_joins_.end()) return;  // chain already done
-  const obs::SpanId span = j->second;
-  if (tracer_.enabled()) {
-    tracer_.instant(net_->now(), "join_reroute", -1, span);
-  }
-  if (roster_.empty()) {
-    // Nobody left to route through: self-sponsor into the empty net.
-    sponsor_join(kNoNode, m.point, m.version);
-    return;
-  }
-  Message retry;
-  retry.type = sim::MessageKind::kRouteForward;
-  const NodeId entry = roster_[rng_.index(roster_.size())];
-  retry.src = entry;
-  retry.dst = entry;
-  retry.point = m.point;
-  retry.hops = m.hops + 1;
-  retry.version = m.version;
-  retry.span = span;
-  net_->send(std::move(retry));
-}
-
 void ProtocolHarness::on_abandon(const Message& m) {
   switch (m.type) {
     case sim::MessageKind::kJoin:
     case sim::MessageKind::kRouteForward:
-      // The route chain died with its addressee (crash, or retry cap):
-      // re-enter through a live gateway so the join is never lost.
-      reroute_join(m);
-      return;
     case sim::MessageKind::kQuery:
-      // Query route chain died with its addressee: re-enter like a join.
-      reroute_query(m);
+      // The route chain died with its addressee (crash, or retry cap):
+      // re-enter through a live gateway so the operation is never lost.
+      reroute(m);
       return;
     case sim::MessageKind::kQueryForward:
       // The addressed cell is unreachable (crashed before it could serve,
@@ -238,18 +209,11 @@ void ProtocolHarness::on_abandon(const Message& m) {
     case sim::MessageKind::kLongLinkBind: {
       // The addressee never got this content: forget that it was sent so
       // the next touch of the component ships unconditionally.
+      const ViewComponent c = component_of(m.type);
       if (alive(m.dst)) {
         SentState& sent = slot(m.dst).sent;
-        if (m.type == sim::MessageKind::kVoronoiUpdate) {
-          arena_.release(sent.vn);
-          sent.vn_known = false;
-        } else if (m.type == sim::MessageKind::kCloseNeighbor) {
-          arena_.release(sent.cn);
-          sent.cn_known = false;
-        } else {
-          arena_.release(sent.lr);
-          sent.lr_known = false;
-        }
+        arena_.release(sent.content[static_cast<std::size_t>(c)]);
+        sent.known[static_cast<std::size_t>(c)] = false;
       }
       // When the transfer died because its *sender* crashed (crash-stop:
       // a dead node cannot drive retransmission), a live witness re-ships
@@ -262,26 +226,7 @@ void ProtocolHarness::on_abandon(const Message& m) {
         return;
       }
       ++op_seq_;
-      Message fresh = net_->draft();
-      fresh.type = m.type;
-      fresh.src = roster_[rng_.index(roster_.size())];
-      fresh.dst = m.dst;
-      fresh.version = op_seq_;
-      SentState& sent = slot(m.dst).sent;
-      if (m.type == sim::MessageKind::kVoronoiUpdate) {
-        fresh.entries = authoritative_vn(m.dst);
-        arena_.assign(sent.vn, fresh.entries);
-        sent.vn_known = true;
-      } else if (m.type == sim::MessageKind::kCloseNeighbor) {
-        fresh.entries = authoritative_cn(m.dst);
-        arena_.assign(sent.cn, fresh.entries);
-        sent.cn_known = true;
-      } else {
-        fresh.entries = authoritative_lr(m.dst);
-        arena_.assign(sent.lr, fresh.entries);
-        sent.lr_known = true;
-      }
-      net_->send(std::move(fresh));
+      ship(random_node(rng_), m.dst, c);
       return;
     }
     default:
@@ -290,38 +235,89 @@ void ProtocolHarness::on_abandon(const Message& m) {
 }
 
 void ProtocolHarness::handle_route(const Message& m) {
+  const bool query = m.type == sim::MessageKind::kQuery;
+  // A query chain of a superseded epoch dies here; a join chain runs on
+  // to its terminal hop, where sponsor_join drops a twin that lost.
+  if (query && !epoch_current(m)) return;
   if (!alive(m.dst)) {
     // The addressee departed while the operation was in flight; fall back
     // to another bootstrap contact.
-    reroute_join(m);
+    reroute(m);
     return;
   }
   const ProtocolNode::Route route =
       slot(m.dst).node.greedy_step(m.point, arena_);
-  // TTL guard: a legitimate greedy chain visits distinct nodes (strictly
-  // decreasing distance), so it can never exceed the population.  Longer
-  // chains mean a permanently stale entry is bouncing the request between
-  // believed and actual positions of a recycled id (possible once a
-  // correcting update was abandoned under max_retries > 0); sponsoring
-  // here is always safe -- the ground-truth insert resolves the true
-  // owner geometrically from any starting object.
-  const bool expired = m.hops > roster_.size() + 16;
   if (tracer_.enabled()) {
     const obs::SpanId hop =
         tracer_.instant(net_->now(), "route_hop", m.dst, m.span);
     tracer_.arg(hop, "hops", m.hops);
   }
-  if (route.terminal || expired) {
+  // TTL guard: a legitimate greedy chain visits distinct nodes (strictly
+  // decreasing distance), so it can never exceed the population.  Longer
+  // chains mean a permanently stale entry is bouncing the request between
+  // believed and actual positions of a recycled id (possible once a
+  // correcting update was abandoned under max_retries > 0); ending the
+  // chain here is always safe -- the ground-truth insert resolves the
+  // true owner geometrically from any starting object, and a flood still
+  // covers whatever is reachable (the differential harness grades it).
+  const bool expired = m.hops > roster_.size() + 16;
+  if (!route.terminal && !expired) {
+    forward_route(m, m.dst, route.next);
+    return;
+  }
+  if (!query) {
     sponsor_join(m.dst, m.point, m.version);
     return;
   }
+  // One root per query: a twin chain (duplicate kQuery slip, or a
+  // reroute racing its original) that terminates after a flood already
+  // started must not root a second, partial flood -- its smaller final
+  // aggregate could win the completion race and shadow the full one.
+  if (!query_runtime_.at(m.version).flood.empty()) return;
+  query_records_.at(m.version).route_hops = m.hops;
+  serve_query(m.version, m.dst, kNoNode, m.span);
+}
+
+void ProtocolHarness::reroute(const Message& m) {
+  const bool query = m.type == sim::MessageKind::kQuery;
+  if (query ? !epoch_current(m) : !active_joins_.contains(m.version)) {
+    return;  // chain already done, or its epoch superseded
+  }
+  // A join traces its reroute even into an empty roster; a query, whose
+  // chain then completes empty, does not.
+  if (tracer_.enabled() && (!query || !roster_.empty())) {
+    tracer_.instant(net_->now(), query ? "query_reroute" : "join_reroute",
+                    -1, m.span);
+  }
+  if (roster_.empty()) {
+    // Nobody left to route through: a join self-sponsors into the empty
+    // net, and a query's true result set is empty.
+    if (query) {
+      complete_query(m.version, {});
+    } else {
+      sponsor_join(kNoNode, m.point, m.version);
+    }
+    return;
+  }
+  const NodeId entry = random_node(rng_);
+  forward_route(m, entry, entry);
+}
+
+void ProtocolHarness::forward_route(const Message& m, NodeId from,
+                                    NodeId to) {
   Message fwd;
-  fwd.type = sim::MessageKind::kRouteForward;
-  fwd.src = m.dst;
-  fwd.dst = route.next;
+  // A join enters as kJoin and travels on as kRouteForward; a query
+  // chain stays kQuery.
+  fwd.type = m.type == sim::MessageKind::kQuery
+                 ? sim::MessageKind::kQuery
+                 : sim::MessageKind::kRouteForward;
+  fwd.src = from;
+  fwd.dst = to;
   fwd.point = m.point;
   fwd.hops = m.hops + 1;
   fwd.version = m.version;
+  fwd.epoch = m.epoch;
+  fwd.query = m.query;
   fwd.span = m.span;
   net_->send(std::move(fwd));
 }
@@ -433,9 +429,8 @@ void ProtocolHarness::begin_epoch(std::uint64_t query_id) {
   // The issuer injects the query at itself (or, if it departed between
   // issue and start -- or crashed between epochs -- at a random live
   // gateway: the out-of-band bootstrap contact of the join path).
-  const NodeId entry = issuer_live(query_id)
-                           ? rec.spec.issuer
-                           : roster_[rng_.index(roster_.size())];
+  const NodeId entry =
+      issuer_live(query_id) ? rec.spec.issuer : random_node(rng_);
   QueryRuntime& rt = query_runtime_.at(query_id);
   if (tracer_.enabled()) {
     rt.epoch_span =
@@ -506,8 +501,8 @@ void ProtocolHarness::reissue_query(std::uint64_t query_id) {
     }
     // The old epoch's flood state dies here; its messages are filtered
     // out by the epoch checks, so they cannot resurrect it.
-    query_flood_.erase(query_id);
-    query_region_cache_.erase(query_id);
+    runtime.flood = {};
+    runtime.region_cache = {};
     begin_epoch(query_id);
   });
 }
@@ -521,91 +516,24 @@ void ProtocolHarness::arm_query_deadline(std::uint64_t query_id) {
   net_->schedule(query_deadline_, [this, query_id] {
     const auto rec = query_records_.find(query_id);
     if (rec == query_records_.end() || rec->second.done) return;
-    query_runtime_.at(query_id).deadline_armed = false;
+    QueryRuntime& rt = query_runtime_.at(query_id);
+    rt.deadline_armed = false;
     // Sweep the current flood for dead participants: a node that crashed
     // while holding subtree state usually betrays itself through its
     // children's abandoned transfers, but a subtree can die whole (every
     // member crashed) without leaving one -- this timer is the backstop
     // failure detector that keeps such a query live.
-    const auto flood = query_flood_.find(query_id);
-    bool dead = false;
-    if (flood != query_flood_.end()) {
-      for (const FloodEntry& e : flood->second.entries) {
-        if (!alive(e.node)) {
-          dead = true;
-          break;
-        }
-      }
+    if (std::any_of(rt.flood.entries.begin(), rt.flood.entries.end(),
+                    [this](const FloodEntry& e) { return !alive(e.node); })) {
+      reissue_query(query_id);
     }
-    if (dead) reissue_query(query_id);
     arm_query_deadline(query_id);
   });
 }
 
-void ProtocolHarness::reroute_query(const Message& m) {
-  if (!epoch_current(m)) return;
-  if (roster_.empty()) {
-    complete_query(m.version, {});
-    return;
-  }
-  if (tracer_.enabled()) {
-    tracer_.instant(net_->now(), "query_reroute", -1, m.span);
-  }
-  Message retry;
-  retry.type = sim::MessageKind::kQuery;
-  const NodeId entry = roster_[rng_.index(roster_.size())];
-  retry.src = entry;
-  retry.dst = entry;
-  retry.point = m.query.target();
-  retry.hops = m.hops + 1;
-  retry.version = m.version;
-  retry.epoch = m.epoch;
-  retry.query = m.query;
-  retry.span = m.span;
-  net_->send(std::move(retry));
-}
-
-void ProtocolHarness::handle_query_route(const Message& m) {
-  if (!epoch_current(m)) return;
-  const auto rec = query_records_.find(m.version);
-  if (!alive(m.dst)) {
-    reroute_query(m);  // addressee departed while the query was in flight
-    return;
-  }
-  const ProtocolNode::Route route =
-      slot(m.dst).node.greedy_step(m.point, arena_);
-  if (tracer_.enabled()) {
-    const obs::SpanId hop =
-        tracer_.instant(net_->now(), "route_hop", m.dst, m.span);
-    tracer_.arg(hop, "hops", m.hops);
-  }
-  // Same TTL guard as the join chains: a legitimate greedy chain visits
-  // distinct nodes, so longer ones mean a permanently stale entry is
-  // bouncing the query; serving from here is safe (the flood still covers
-  // whatever is reachable, and the differential harness grades it).
-  const bool expired = m.hops > roster_.size() + 16;
-  if (route.terminal || expired) {
-    // One root per query: a twin chain (duplicate kQuery slip, or a
-    // reroute racing its original) that terminates after a flood already
-    // started must not root a second, partial flood -- its smaller final
-    // aggregate could win the completion race and shadow the full one.
-    const auto flood = query_flood_.find(m.version);
-    if (flood != query_flood_.end() && !flood->second.empty()) return;
-    rec->second.route_hops = m.hops;
-    serve_query(m.version, m.dst, kNoNode, m.span);
-    return;
-  }
-  Message fwd;
-  fwd.type = sim::MessageKind::kQuery;
-  fwd.src = m.dst;
-  fwd.dst = route.next;
-  fwd.point = m.point;
-  fwd.hops = m.hops + 1;
-  fwd.version = m.version;
-  fwd.epoch = m.epoch;
-  fwd.query = m.query;
-  fwd.span = m.span;
-  net_->send(std::move(fwd));
+void ProtocolHarness::invalidate_region_caches() {
+  // Assign, not clear(): FlatNodeMap::clear() keeps the table's storage.
+  for (auto& [id, rt] : query_runtime_) rt.region_cache = {};
 }
 
 bool ProtocolHarness::query_region_qualifies(const QuerySpec& spec,
@@ -623,7 +551,8 @@ bool ProtocolHarness::query_region_qualifies(const QuerySpec& spec,
 
 void ProtocolHarness::serve_query(std::uint64_t query_id, NodeId node,
                                   NodeId parent, obs::SpanId parent_span) {
-  QueryFlood& flood = query_flood_[query_id];
+  QueryRuntime& rt = query_runtime_.at(query_id);
+  QueryFlood& flood = rt.flood;
   QueryRecord& rec = query_records_.at(query_id);
   if (FloodEntry* existing = flood.find(node); existing != nullptr) {
     // Already served.  A forward from another branch is rejected (the
@@ -672,11 +601,10 @@ void ProtocolHarness::serve_query(std::uint64_t query_id, NodeId node,
   // costs a deployment -- but a DEAD entry also means this view predates
   // a repair that is racing the flood, so the epoch is tainted and the
   // issuer will re-run the query over repaired views.
-  FlatNodeMap<bool>& region_cache = query_region_cache_[query_id];
-  for (const ViewEntry& e : self.vn(arena_)) {
+  for (const ViewEntry& e : self.view(ViewComponent::kVn, arena_)) {
     if (e.id == parent) continue;
     if (!overlay_.contains(e.id) || overlay_.position(e.id) != e.pos) {
-      query_runtime_.at(query_id).stale_observed = true;
+      rt.stale_observed = true;
       if (tracer_.enabled()) {
         const obs::SpanId t =
             tracer_.instant(net_->now(), "stale_entry", node, state.span);
@@ -684,12 +612,12 @@ void ProtocolHarness::serve_query(std::uint64_t query_id, NodeId node,
       }
       continue;
     }
-    const bool* cached = region_cache.find(e.id);
+    const bool* cached = rt.region_cache.find(e.id);
     const bool qualifies =
         cached != nullptr
             ? *cached
-            : region_cache.insert(e.id,
-                                  query_region_qualifies(rec.spec, e.id));
+            : rt.region_cache.insert(e.id,
+                                     query_region_qualifies(rec.spec, e.id));
     if (!qualifies) continue;
     Message fwd;
     fwd.type = sim::MessageKind::kQueryForward;
@@ -734,7 +662,8 @@ void ProtocolHarness::handle_query_forward(const Message& m) {
 void ProtocolHarness::finish_query_node(std::uint64_t query_id,
                                         NodeId node) {
   QueryRecord& rec = query_records_.at(query_id);
-  FloodEntry& state = *query_flood_.at(query_id).find(node);
+  QueryRuntime& rt = query_runtime_.at(query_id);
+  FloodEntry& state = *rt.flood.find(node);
   if (tracer_.enabled() && state.span != obs::kNoSpan) {
     tracer_.arg(state.span, "covered", state.acc.size());
     if (state.aborted) tracer_.arg(state.span, "aborted", 1);
@@ -759,7 +688,7 @@ void ProtocolHarness::finish_query_node(std::uint64_t query_id,
   }
   // Flood root.  An aborted or tainted epoch is not worth shipping: its
   // aggregate straddles a repair.  Re-issue instead.
-  if (state.aborted || query_runtime_.at(query_id).stale_observed) {
+  if (state.aborted || rt.stale_observed) {
     reissue_query(query_id);
     return;
   }
@@ -790,9 +719,8 @@ void ProtocolHarness::apply_query_reply(std::uint64_t query_id, NodeId node,
                                         bool aborted) {
   const auto rec = query_records_.find(query_id);
   if (rec == query_records_.end() || rec->second.done) return;
-  const auto flood = query_flood_.find(query_id);
-  if (flood == query_flood_.end()) return;
-  FloodEntry* state = flood->second.find(node);
+  QueryRuntime& rt = query_runtime_.at(query_id);
+  FloodEntry* state = rt.flood.find(node);
   if (state == nullptr) return;  // node departed mid-query
   if (!alive(node)) {
     // The waiting node itself is dead: nobody can echo its subtree any
@@ -807,7 +735,7 @@ void ProtocolHarness::apply_query_reply(std::uint64_t query_id, NodeId node,
   state->replied.push_back(child);
   if (aborted) {
     state->aborted = true;
-    query_runtime_.at(query_id).stale_observed = true;
+    rt.stale_observed = true;
     ++rec->second.branch_failovers;
     if (tracer_.enabled()) {
       const obs::SpanId t =
@@ -866,8 +794,8 @@ void ProtocolHarness::complete_query(std::uint64_t query_id,
   // retries of the same client operation, so the per-operation message
   // mean must absorb them rather than dilute itself with extra records
   // (pinned by obs_test.CountingModelBillsReissuedQueryOnce).
-  net_->metrics().record_operation(sim::OperationKind::kQuery, rec.route_hops,
-                                  rec.total_messages());
+  net_->record_operation(sim::OperationKind::kQuery, rec.route_hops,
+                         rec.total_messages());
   {
     const QueryRuntime& rt = query_runtime_.at(query_id);
     if (tracer_.enabled()) {
@@ -895,8 +823,6 @@ void ProtocolHarness::complete_query(std::uint64_t query_id,
     if (query_site_matches(rec.spec, e.pos)) rec.matches.push_back(e.id);
   }
   rec.owners = std::move(owners);
-  query_flood_.erase(query_id);
-  query_region_cache_.erase(query_id);
   query_runtime_.erase(query_id);
   VORONET_DCHECK(pending_queries_ > 0);
   --pending_queries_;
@@ -920,7 +846,8 @@ void ProtocolHarness::execute_leave(NodeId x) {
   const ProtocolNode& self = slot(x).node;
   std::vector<NodeId> notified;
   for (const std::span<const ViewEntry> component :
-       {self.vn(arena_), self.cn(arena_)}) {
+       {self.view(ViewComponent::kVn, arena_),
+        self.view(ViewComponent::kCn, arena_)}) {
     for (const ViewEntry& e : component) notified.push_back(e.id);
   }
   std::sort(notified.begin(), notified.end());
@@ -961,25 +888,17 @@ void ProtocolHarness::execute_leave(NodeId x) {
 // Dissemination
 // ---------------------------------------------------------------------------
 
-std::vector<ViewEntry> ProtocolHarness::authoritative_vn(NodeId o) const {
-  std::vector<ViewEntry> out;
+void ProtocolHarness::authoritative(ViewComponent c, NodeId o,
+                                    std::vector<ViewEntry>& out) const {
+  out.clear();
   const NodeView& view = overlay_.view(o);
-  out.reserve(view.vn.size());
-  for (const ObjectId nb : view.vn) out.push_back({nb, overlay_.position(nb)});
-  return out;
-}
-
-std::vector<ViewEntry> ProtocolHarness::authoritative_cn(NodeId o) const {
-  std::vector<ViewEntry> out;
-  const NodeView& view = overlay_.view(o);
-  out.reserve(view.cn.size());
-  for (const ObjectId c : view.cn) out.push_back({c, overlay_.position(c)});
-  return out;
-}
-
-std::vector<ViewEntry> ProtocolHarness::authoritative_lr(NodeId o) const {
-  std::vector<ViewEntry> out;
-  const NodeView& view = overlay_.view(o);
+  if (c != ViewComponent::kLr) {
+    const std::vector<ObjectId>& ids =
+        c == ViewComponent::kVn ? view.vn : view.cn;
+    out.reserve(ids.size());
+    for (const ObjectId id : ids) out.push_back({id, overlay_.position(id)});
+    return;
+  }
   out.reserve(view.lr.size());
   for (const LongLink& link : view.lr) {
     // Dangling holders (possible while a crash's failure-detection
@@ -991,75 +910,38 @@ std::vector<ViewEntry> ProtocolHarness::authoritative_lr(NodeId o) const {
     }
     out.push_back({link.neighbor, overlay_.position(link.neighbor)});
   }
-  return out;
 }
 
 void ProtocolHarness::disseminate(NodeId src, NodeId ensure) {
   Overlay::TouchedViews touched = overlay_.take_touched_views();
-  if (ensure != kNoNode) {
-    touched.vn.push_back(ensure);
-    touched.cn.push_back(ensure);
-    touched.lr.push_back(ensure);
-  }
   ++op_seq_;
-  const auto ship = [&](const std::vector<ObjectId>& ids,
-                        sim::MessageKind kind, auto&& extract,
-                        ViewSpan SentState::*span_slot,
-                        bool SentState::*known_slot) {
-    for (const ObjectId id : ids) {
-      if (!alive(id)) continue;
-      scratch_entries_.clear();
-      extract(id, scratch_entries_);
-      SentState& sent = slot(id).sent;
-      if (sent.*known_slot &&
-          same_entries(arena_.view(sent.*span_slot), scratch_entries_)) {
-        continue;  // touch restored the value
-      }
-      Message m = net_->draft();
-      m.type = kind;
-      m.src = src;
-      m.dst = id;
-      m.version = op_seq_;
-      m.entries.assign(scratch_entries_.begin(), scratch_entries_.end());
-      arena_.assign(sent.*span_slot, scratch_entries_);
-      sent.*known_slot = true;
-      net_->send(std::move(m));
-    }
-  };
-  ship(
-      touched.vn, sim::MessageKind::kVoronoiUpdate,
-      [&](NodeId o, std::vector<ViewEntry>& out) {
-        const NodeView& view = overlay_.view(o);
-        out.reserve(view.vn.size());
-        for (const ObjectId nb : view.vn) {
-          out.push_back({nb, overlay_.position(nb)});
-        }
-      },
-      &SentState::vn, &SentState::vn_known);
-  ship(
-      touched.cn, sim::MessageKind::kCloseNeighbor,
-      [&](NodeId o, std::vector<ViewEntry>& out) {
-        const NodeView& view = overlay_.view(o);
-        out.reserve(view.cn.size());
-        for (const ObjectId c : view.cn) {
-          out.push_back({c, overlay_.position(c)});
-        }
-      },
-      &SentState::cn, &SentState::cn_known);
-  ship(
-      touched.lr, sim::MessageKind::kLongLinkBind,
-      [&](NodeId o, std::vector<ViewEntry>& out) {
-        const NodeView& view = overlay_.view(o);
-        out.reserve(view.lr.size());
-        for (const LongLink& link : view.lr) {
-          if (link.neighbor == kNoObject ||
-              !overlay_.contains(link.neighbor)) {
-            continue;
-          }
-          out.push_back({link.neighbor, overlay_.position(link.neighbor)});
-        }
-      },
-      &SentState::lr, &SentState::lr_known);
+  for (const ViewComponent c : kViewComponents) {
+    std::vector<ObjectId>& ids = c == ViewComponent::kVn   ? touched.vn
+                                 : c == ViewComponent::kCn ? touched.cn
+                                                           : touched.lr;
+    if (ensure != kNoNode) ids.push_back(ensure);
+    for (const ObjectId id : ids) ship(src, id, c);
+  }
+}
+
+void ProtocolHarness::ship(NodeId src, NodeId id, ViewComponent c) {
+  if (!alive(id)) return;
+  authoritative(c, id, scratch_entries_);
+  const auto i = static_cast<std::size_t>(c);
+  SentState& sent = slot(id).sent;
+  if (sent.known[i] &&
+      same_entries(arena_.view(sent.content[i]), scratch_entries_)) {
+    return;  // touch restored the value
+  }
+  Message m = net_->draft();
+  m.type = update_kind(c);
+  m.src = src;
+  m.dst = id;
+  m.version = op_seq_;
+  m.entries.assign(scratch_entries_.begin(), scratch_entries_.end());
+  arena_.assign(sent.content[i], scratch_entries_);
+  sent.known[i] = true;
+  net_->send(std::move(m));
 }
 
 // ---------------------------------------------------------------------------
@@ -1094,10 +976,8 @@ void ProtocolHarness::deregister_node(NodeId x) {
   // Every span the slot holds goes back to the arena; the recycled slot
   // must inherit nothing (pinned by the slot-recycling test).
   s.node.release(arena_);
-  arena_.release(s.sent.vn);
-  arena_.release(s.sent.cn);
-  arena_.release(s.sent.lr);
-  s.sent.vn_known = s.sent.cn_known = s.sent.lr_known = false;
+  for (ViewSpan& content : s.sent.content) arena_.release(content);
+  s.sent.known = {};
   s.live = false;
   s.dead_mark = true;
   ++topology_version_;
@@ -1115,21 +995,24 @@ void ProtocolHarness::deregister_node(NodeId x) {
 ProtocolHarness::VerifyReport ProtocolHarness::verify_views() const {
   VerifyReport report;
   const bool strict = !repair_in_flight();
+  std::vector<ViewEntry> truth;
   for (const NodeId id : roster_) {
     const ProtocolNode& node = slot(id).node;
     ++report.checked;
-    const bool ok = overlay_.contains(id) &&
-                    node.position() == overlay_.position(id) &&
-                    same_entries(node.vn(arena_), authoritative_vn(id)) &&
-                    same_entries(node.cn(arena_), authoritative_cn(id)) &&
-                    same_entries(node.lr(arena_), authoritative_lr(id));
+    const bool ok =
+        overlay_.contains(id) && node.position() == overlay_.position(id) &&
+        std::all_of(kViewComponents.begin(), kViewComponents.end(),
+                    [&](ViewComponent c) {
+                      authoritative(c, id, truth);
+                      return same_entries(node.view(c, arena_), truth);
+                    });
     if (!ok) {
       ++report.stale;
       if (report.stale_ids.size() < 8) report.stale_ids.push_back(id);
     }
     if (strict && overlay_.contains(id)) {
       // With no repair in flight, a dead long-link holder in the ground
-      // truth is real divergence (authoritative_lr would mask it).
+      // truth is real divergence (authoritative() would mask it).
       for (const LongLink& link : overlay_.view(id).lr) {
         if (link.neighbor == kNoObject || !overlay_.contains(link.neighbor)) {
           ++report.dangling;
@@ -1151,16 +1034,14 @@ ProtocolHarness::MemoryBreakdown ProtocolHarness::memory_breakdown() const {
   b.slot_bytes = slots_.capacity() * sizeof(NodeSlot) +
                  roster_.capacity() * sizeof(NodeId);
   b.transport_bytes = net_->memory_bytes();
-  for (const auto& [id, flood] : query_flood_) {
-    b.query_bytes +=
-        flood.index.bytes() + flood.entries.capacity() * sizeof(FloodEntry);
-    for (const FloodEntry& e : flood.entries) {
+  for (const auto& [id, rt] : query_runtime_) {
+    b.query_bytes += rt.flood.index.bytes() +
+                     rt.flood.entries.capacity() * sizeof(FloodEntry) +
+                     rt.region_cache.bytes();
+    for (const FloodEntry& e : rt.flood.entries) {
       b.query_bytes += e.acc.capacity() * sizeof(ViewEntry) +
                        e.replied.capacity() * sizeof(NodeId);
     }
-  }
-  for (const auto& [id, cache] : query_region_cache_) {
-    b.query_bytes += cache.bytes();
   }
   for (const auto& [id, rec] : query_records_) {
     b.query_bytes += rec.owners.capacity() * sizeof(ViewEntry) +

@@ -5,12 +5,13 @@
 //   * the *computation* runs on the shared Overlay (DESIGN.md,
 //     Substitution 1: the tessellation is the one true geometry);
 //   * the *dissemination* runs as real messages: the resulting view
-//     deltas travel to each affected ProtocolNode through the Network,
+//     deltas travel to each affected ProtocolNode through the Transport,
 //     subject to latency, loss, partitions and crash-stop failures.
 //
-// Joins additionally route at the message level: the join request hops
-// greedily from node to node using only each node's LOCAL view, so
-// concurrent joins observe exactly the staleness a deployment would.
+// Joins and region queries route at the message level, on one greedy
+// chain: the request hops from node to node using only each node's LOCAL
+// view, so concurrent operations observe exactly the staleness a
+// deployment would.
 //
 // verify_views() compares every node's local view against the overlay's
 // authoritative one.  At quiescence with no partition this must match
@@ -25,6 +26,7 @@
 // dissemination cache -- is spans into one shared ViewArena.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -268,7 +270,7 @@ class ProtocolHarness {
   struct MemoryBreakdown {
     std::size_t view_bytes = 0;       ///< shared ViewArena (all spans)
     std::size_t slot_bytes = 0;       ///< node slot table + roster
-    std::size_t transport_bytes = 0;  ///< Network-owned state
+    std::size_t transport_bytes = 0;  ///< Transport-owned state
     std::size_t query_bytes = 0;      ///< flood/echo state + records
     [[nodiscard]] std::size_t total() const {
       return view_bytes + slot_bytes + transport_bytes + query_bytes;
@@ -280,14 +282,14 @@ class ProtocolHarness {
   //
   // The harness owns one Tracer and one FlightRecorder (both off by
   // default -- zero cost beyond a branch per instrumentation site) and
-  // installs them into the Network.  With the tracer enabled, every query
+  // installs them into the Transport.  With the tracer enabled, every query
   // grows a causal span tree: a "query" root span at the issuer, one
   // "epoch" span per flood epoch, "route_hop" instants along the greedy
   // chain, a "serve" span per flood participant (parented to the serve
   // span that forwarded to it), "stale_entry" / "branch_abort" instants
   // explaining taints, and "reissue" instants when an epoch is
   // superseded; joins grow a "join" span with their route hops, and the
-  // Network adds one "xfer:<kind>" span per reliable transfer.
+  // Transport adds one "xfer:<kind>" span per reliable transfer.
   [[nodiscard]] obs::Tracer& tracer() { return tracer_; }
   [[nodiscard]] const obs::Tracer& tracer() const { return tracer_; }
   [[nodiscard]] obs::FlightRecorder& recorder() { return recorder_; }
@@ -296,30 +298,15 @@ class ProtocolHarness {
   }
 
  private:
-  /// Per-query state the harness (not the record consumer) needs while
-  /// the query is in flight; dropped at completion.
-  struct QueryRuntime {
-    /// The current epoch observed a repair racing it (a provably dead
-    /// view entry at serve time, or an aborted branch): the result may
-    /// straddle the repair, so completion re-issues instead.
-    bool stale_observed = false;
-    bool reissue_pending = false;  ///< a re-issue is already scheduled
-    bool deadline_armed = false;   ///< echo-deadline sweep event pending
-    bool issuer_known = false;     ///< issuer_pos below is meaningful
-    Vec2 issuer_pos;  ///< guards against the issuer id being recycled
-    obs::SpanId root_span = obs::kNoSpan;   ///< "query" span (tracing)
-    obs::SpanId epoch_span = obs::kNoSpan;  ///< current "epoch" span
-  };
-
   /// Last content disseminated per node component: suppresses the
   /// redundant updates the over-approximate touch tracking would produce
   /// (fictive-object churn restores views it transiently rewrites).
   /// !known = never sent, or the last transfer was abandoned by the
   /// transport -- the next touch ships unconditionally.  Content lives
-  /// in the shared arena.
+  /// in the shared arena.  Both arrays are indexed by ViewComponent.
   struct SentState {
-    ViewSpan vn, cn, lr;
-    bool vn_known = false, cn_known = false, lr_known = false;
+    std::array<ViewSpan, 3> content{};
+    std::array<bool, 3> known{};
   };
 
   /// One entry of the dense node slot table, indexed by NodeId.
@@ -347,7 +334,7 @@ class ProtocolHarness {
     std::vector<NodeId> replied;      ///< children already heard from
     obs::SpanId span = obs::kNoSpan;  ///< "serve" span while tracing
   };
-  /// One query's flood state: flat entries plus a NodeId index.  The
+  /// One epoch's flood state: flat entries plus a NodeId index.  The
   /// whole structure dies when the query completes or its epoch is
   /// superseded -- there is no per-node erase, which is what keeps the
   /// flat map tombstone-free.
@@ -359,10 +346,6 @@ class ProtocolHarness {
       const std::uint32_t* pos = index.find(node);
       return pos != nullptr ? &entries[*pos] : nullptr;
     }
-    [[nodiscard]] const FloodEntry* find(NodeId node) const {
-      const std::uint32_t* pos = index.find(node);
-      return pos != nullptr ? &entries[*pos] : nullptr;
-    }
     FloodEntry& emplace(NodeId node) {
       index.insert(node, static_cast<std::uint32_t>(entries.size()));
       FloodEntry& e = entries.emplace_back();
@@ -370,6 +353,28 @@ class ProtocolHarness {
       return e;
     }
     [[nodiscard]] bool empty() const { return entries.empty(); }
+  };
+
+  /// Everything the harness (not the record consumer) holds for one
+  /// query while it is in flight: created at issue, erased whole at
+  /// completion.
+  struct QueryRuntime {
+    /// The current epoch observed a repair racing it (a provably dead
+    /// view entry at serve time, or an aborted branch): the result may
+    /// straddle the repair, so completion re-issues instead.
+    bool stale_observed = false;
+    bool reissue_pending = false;  ///< a re-issue is already scheduled
+    bool deadline_armed = false;   ///< echo-deadline sweep event pending
+    bool issuer_known = false;     ///< issuer_pos below is meaningful
+    Vec2 issuer_pos;  ///< guards against the issuer id being recycled
+    obs::SpanId root_span = obs::kNoSpan;   ///< "query" span (tracing)
+    obs::SpanId epoch_span = obs::kNoSpan;  ///< current "epoch" span
+    QueryFlood flood;  ///< the current epoch's flood; reset on re-issue
+    /// Memoised region-test verdicts: a cell is probed once per
+    /// neighbouring served cell, but its geometry only needs clipping
+    /// once (mirrors the sequential flood's cache).  Reset on re-issue
+    /// and on every topology change.
+    FlatNodeMap<bool> region_cache;
   };
 
   [[nodiscard]] bool alive(NodeId x) const {
@@ -384,7 +389,14 @@ class ProtocolHarness {
   }
 
   void start_join(Vec2 p);
+  /// One greedy hop of a route chain -- a join (kJoin / kRouteForward)
+  /// or a query (kQuery) -- at m.dst: forward it, or end the chain here.
   void handle_route(const Message& m);
+  /// Re-enter a route chain through a fresh random gateway (the
+  /// addressee departed or the transport abandoned the hop).
+  void reroute(const Message& m);
+  /// Send the next hop of route chain `m` from `from` to `to`.
+  void forward_route(const Message& m, NodeId from, NodeId to);
   std::uint64_t issue_query(NodeId from, QuerySpec spec, double delay);
   void start_query(std::uint64_t query_id);
   /// (Re-)enter the route phase of the record's current epoch: inject a
@@ -398,7 +410,6 @@ class ProtocolHarness {
   /// Backstop failure detector: periodically sweep the flood for
   /// participants that died without a transport-observable trace.
   void arm_query_deadline(std::uint64_t query_id);
-  void handle_query_route(const Message& m);
   void handle_query_forward(const Message& m);
   void handle_query_result(const Message& m);
   /// Is m a current-epoch message of a live query?  Superseded epochs'
@@ -407,9 +418,6 @@ class ProtocolHarness {
   /// Does this (id, position) pair denote a live protocol node?
   [[nodiscard]] bool entry_live(const ViewEntry& e) const;
   [[nodiscard]] bool issuer_live(std::uint64_t query_id) const;
-  /// Re-enter a query route chain through a fresh random gateway (the
-  /// addressee departed or the transport abandoned the hop).
-  void reroute_query(const Message& m);
   /// Per-branch failover for a kQueryForward whose addressee is gone
   /// (departed in flight, crashed, or beyond the retry cap): close the
   /// branch with an abort at the sender if it still holds flood state,
@@ -437,13 +445,10 @@ class ProtocolHarness {
   void complete_query(std::uint64_t query_id, std::vector<ViewEntry> owners);
   /// Topology changed: memoised region verdicts are stale (a surviving
   /// cell's clipped geometry may have grown into the query region).
-  void invalidate_region_caches() { query_region_cache_.clear(); }
+  void invalidate_region_caches();
   /// Ground-truth geometric test: does o's region meet the query region?
   [[nodiscard]] bool query_region_qualifies(const QuerySpec& spec,
                                             NodeId o) const;
-  /// Re-enter a join route chain through a fresh random gateway (the
-  /// addressee departed or the transport abandoned the hop).
-  void reroute_join(const Message& m);
   /// Terminate join chain `join_id` at `sponsor`.  Exactly-once per
   /// chain: a rerouted chain can race its original (abandonment after a
   /// delivered-but-unacked hop), so completion is keyed by the id.
@@ -457,10 +462,13 @@ class ProtocolHarness {
   /// (when valid) is unioned in so a freshly joined node always receives
   /// its initial view.
   void disseminate(NodeId src, NodeId ensure = kNoNode);
+  /// Ship component `c` of live node `id`'s authoritative view from
+  /// `src` as version op_seq_, unless it is the content last sent.
+  void ship(NodeId src, NodeId id, ViewComponent c);
 
-  [[nodiscard]] std::vector<ViewEntry> authoritative_vn(NodeId o) const;
-  [[nodiscard]] std::vector<ViewEntry> authoritative_cn(NodeId o) const;
-  [[nodiscard]] std::vector<ViewEntry> authoritative_lr(NodeId o) const;
+  /// Overwrite `out` with component `c` of o's view in the overlay.
+  void authoritative(ViewComponent c, NodeId o,
+                     std::vector<ViewEntry>& out) const;
 
   void register_node(NodeId x);
   void deregister_node(NodeId x);
@@ -476,13 +484,7 @@ class ProtocolHarness {
   std::vector<NodeId> roster_;  ///< live node ids, dense (random sampling)
   std::unordered_map<std::uint64_t, QueryRecord> query_records_;
   std::unordered_map<std::uint64_t, QueryRuntime> query_runtime_;
-  std::unordered_map<std::uint64_t, QueryFlood> query_flood_;
-  /// Memoised region-test verdicts per in-flight query: a cell is probed
-  /// once per neighbouring served cell, but its geometry only needs
-  /// clipping once (mirrors the sequential flood's cache; dropped with
-  /// the flood state at completion).
-  std::unordered_map<std::uint64_t, FlatNodeMap<bool>> query_region_cache_;
-  /// Reused buffer for authoritative-view extraction in disseminate()
+  /// Reused buffer for authoritative-view extraction in ship()
   /// (one content build per ship, zero steady-state allocation).
   std::vector<ViewEntry> scratch_entries_;
   std::uint64_t query_seq_ = 0;

@@ -72,11 +72,11 @@ struct QuerySpec {
 ///   * kJoin / kRouteForward -- point (the join position), hops, and
 ///     version carrying the join-chain id (completion is exactly-once
 ///     even when a chain is rerouted around a crashed hop);
-///   * kVnUpdate (kVoronoiUpdate), kCloseGather (kCloseNeighbor),
-///     kLongLinkTransfer (kLongLinkBind) -- entries (the authoritative
-///     component content) and version (monotone per target component;
-///     receivers discard stale or duplicate updates, which makes the
-///     updates idempotent under retransmission and reordering);
+///   * kVoronoiUpdate, kCloseNeighbor, kLongLinkBind -- one view
+///     component each (protocol::ViewComponent): entries (the
+///     authoritative component content) and version (monotone per target
+///     component; receivers discard stale or duplicate updates, which
+///     makes the updates idempotent under retransmission and reordering);
 ///   * kLeaveNotify -- src announces its departure;
 ///   * kQuery -- a region query greedy-routing towards query.target();
 ///     version carries the query id, hops the chain length so far;

@@ -6,49 +6,44 @@
 
 namespace voronet::protocol {
 
+ViewComponent component_of(sim::MessageKind kind) {
+  for (const ViewComponent c : kViewComponents) {
+    if (update_kind(c) == kind) return c;
+  }
+  VORONET_EXPECT(false, "not a view-update message");
+  return ViewComponent::kVn;
+}
+
 ProtocolNode::Route ProtocolNode::greedy_step(Vec2 target,
                                               const ViewArena& arena) const {
   double best = dist2(position_, target);
   NodeId next = kNoNode;
-  const auto consider = [&](const ViewEntry& e) {
-    const double d = dist2(e.pos, target);
-    // Strict improvement over the current best; ties break towards the
-    // smaller id so routing is deterministic regardless of scan order.
-    if (d < best || (d == best && next != kNoNode && e.id < next)) {
-      best = d;
-      next = e.id;
+  for (const ViewSpan& component : views_) {
+    for (const ViewEntry& e : arena.view(component)) {
+      const double d = dist2(e.pos, target);
+      // Strict improvement over the current best; ties break towards the
+      // smaller id so routing is deterministic regardless of scan order.
+      if (d < best || (d == best && next != kNoNode && e.id < next)) {
+        best = d;
+        next = e.id;
+      }
     }
-  };
-  for (const ViewEntry& e : arena.view(vn_)) consider(e);
-  for (const ViewEntry& e : arena.view(cn_)) consider(e);
-  for (const ViewEntry& e : arena.view(lr_)) consider(e);
+  }
   if (next == kNoNode) return {true, kNoNode};
   return {false, next};
 }
 
 bool ProtocolNode::apply_update(const Message& m, ViewArena& arena) {
-  const auto apply = [&](ViewSpan& component, std::uint64_t& version) {
-    if (m.version <= version) return false;
-    arena.assign(component, m.entries);
-    version = m.version;
-    return true;
-  };
-  switch (m.type) {
-    case sim::MessageKind::kVoronoiUpdate:
-      return apply(vn_, vn_version_);
-    case sim::MessageKind::kCloseNeighbor:
-      return apply(cn_, cn_version_);
-    case sim::MessageKind::kLongLinkBind:
-      return apply(lr_, lr_version_);
-    default:
-      VORONET_EXPECT(false, "not a view-update message");
-  }
-  return false;
+  const auto c = static_cast<std::size_t>(component_of(m.type));
+  if (m.version <= versions_[c]) return false;
+  arena.assign(views_[c], m.entries);
+  versions_[c] = m.version;
+  return true;
 }
 
 void ProtocolNode::forget_peer(NodeId peer, Vec2 peer_position,
                                ViewArena& arena) {
-  const auto drop = [&](ViewSpan& component) {
+  for (ViewSpan& component : views_) {
     const std::span<ViewEntry> view = arena.mutate(component);
     const auto end = std::remove_if(view.begin(), view.end(),
                                     [&](const ViewEntry& e) {
@@ -57,17 +52,12 @@ void ProtocolNode::forget_peer(NodeId peer, Vec2 peer_position,
                                     });
     arena.shrink(component,
                  static_cast<std::size_t>(end - view.begin()));
-  };
-  drop(vn_);
-  drop(cn_);
-  drop(lr_);
+  }
 }
 
 void ProtocolNode::release(ViewArena& arena) {
-  arena.release(vn_);
-  arena.release(cn_);
-  arena.release(lr_);
-  vn_version_ = cn_version_ = lr_version_ = 0;
+  for (ViewSpan& component : views_) arena.release(component);
+  versions_ = {};
 }
 
 }  // namespace voronet::protocol

@@ -20,6 +20,7 @@
 // holder (the slot table) must call release() before discarding a node.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -27,6 +28,27 @@
 #include "protocol/view_arena.hpp"
 
 namespace voronet::protocol {
+
+/// The three components of one object's view, in the order greedy
+/// routing scans them.  Each travels as its own update kind.
+enum class ViewComponent : std::uint8_t {
+  kVn,  ///< Voronoi neighbours (kVoronoiUpdate), sorted by id
+  kCn,  ///< close neighbours (kCloseNeighbor), sorted by id
+  kLr,  ///< long links (kLongLinkBind), in link-index order
+};
+inline constexpr std::array<ViewComponent, 3> kViewComponents = {
+    ViewComponent::kVn, ViewComponent::kCn, ViewComponent::kLr};
+
+/// The message kind that carries component `c`.
+[[nodiscard]] constexpr sim::MessageKind update_kind(ViewComponent c) {
+  constexpr std::array<sim::MessageKind, 3> kinds = {
+      sim::MessageKind::kVoronoiUpdate, sim::MessageKind::kCloseNeighbor,
+      sim::MessageKind::kLongLinkBind};
+  return kinds[static_cast<std::size_t>(c)];
+}
+/// The component a view-update kind carries; fails the contract check on
+/// any other kind.
+[[nodiscard]] ViewComponent component_of(sim::MessageKind kind);
 
 class ProtocolNode {
  public:
@@ -47,8 +69,8 @@ class ProtocolNode {
   [[nodiscard]] Route greedy_step(Vec2 target, const ViewArena& arena) const;
 
   /// Apply a view-update message (kVoronoiUpdate / kCloseNeighbor /
-  /// kLongLinkBind).  Returns true when the update advanced the view,
-  /// false when it was stale or a duplicate.
+  /// kLongLinkBind) to its component.  Returns true when the update
+  /// advanced the view, false when it was stale or a duplicate.
   bool apply_update(const Message& m, ViewArena& arena);
 
   /// Departure notification: drop entries matching the departed peer
@@ -61,28 +83,17 @@ class ProtocolNode {
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] Vec2 position() const { return position_; }
-  [[nodiscard]] std::span<const ViewEntry> vn(const ViewArena& a) const {
-    return a.view(vn_);
-  }
-  [[nodiscard]] std::span<const ViewEntry> cn(const ViewArena& a) const {
-    return a.view(cn_);
-  }
-  [[nodiscard]] std::span<const ViewEntry> lr(const ViewArena& a) const {
-    return a.view(lr_);
-  }
-  [[nodiscard]] std::size_t degree() const {
-    return std::size_t{vn_.len} + cn_.len + lr_.len;
+  [[nodiscard]] std::span<const ViewEntry> view(ViewComponent c,
+                                                const ViewArena& a) const {
+    return a.view(views_[static_cast<std::size_t>(c)]);
   }
 
  private:
   NodeId id_ = kNoNode;
   Vec2 position_{};
-  ViewSpan vn_;  ///< sorted by id (authority sends sorted)
-  ViewSpan cn_;  ///< sorted by id
-  ViewSpan lr_;  ///< in link-index order
-  std::uint64_t vn_version_ = 0;
-  std::uint64_t cn_version_ = 0;
-  std::uint64_t lr_version_ = 0;
+  /// Indexed by ViewComponent; each version is the last applied one.
+  std::array<ViewSpan, 3> views_{};
+  std::array<std::uint64_t, 3> versions_{};
 };
 
 }  // namespace voronet::protocol

@@ -237,9 +237,20 @@ std::size_t ReliableCore::memory_bytes() const {
   return b;
 }
 
+sim::Metrics ReliableCore::metrics() const {
+  const auto lk = guard();
+  return metrics_;
+}
+
 NetworkStats ReliableCore::stats() const {
   const auto lk = guard();
   return stats_;
+}
+
+void ReliableCore::record_operation(sim::OperationKind kind, std::size_t hops,
+                                    std::size_t op_messages) {
+  const auto lk = guard();
+  metrics_.record_operation(kind, hops, op_messages);
 }
 
 // ---------------------------------------------------------------------------

@@ -131,11 +131,10 @@ class ReliableCore : public Transport {
   /// pool, per-node bitmaps, backlogs and the dedup window.
   [[nodiscard]] std::size_t memory_bytes() const override;
 
-  [[nodiscard]] sim::Metrics& metrics() override { return metrics_; }
-  [[nodiscard]] const sim::Metrics& metrics() const override {
-    return metrics_;
-  }
+  [[nodiscard]] sim::Metrics metrics() const override;
   [[nodiscard]] NetworkStats stats() const override;
+  void record_operation(sim::OperationKind kind, std::size_t hops,
+                        std::size_t op_messages) override;
   [[nodiscard]] const NetworkConfig& config() const override {
     return config_;
   }

@@ -207,10 +207,14 @@ class Transport {
   /// Transport-owned bytes, for the bytes-per-node decomposition.
   [[nodiscard]] virtual std::size_t memory_bytes() const = 0;
 
-  [[nodiscard]] virtual sim::Metrics& metrics() = 0;
-  [[nodiscard]] virtual const sim::Metrics& metrics() const = 0;
-  /// A snapshot (ThreadTransport copies it under its lock).
+  /// Snapshots, taken under the core's lock on a concurrent backend:
+  /// hold the copy, never a reference into the temporary.
+  [[nodiscard]] virtual sim::Metrics metrics() const = 0;
   [[nodiscard]] virtual NetworkStats stats() const = 0;
+  /// Record one finished operation in the metrics (see
+  /// sim::Metrics::record_operation).
+  virtual void record_operation(sim::OperationKind kind, std::size_t hops,
+                                std::size_t op_messages) = 0;
   [[nodiscard]] virtual const NetworkConfig& config() const = 0;
   [[nodiscard]] virtual double retransmit_timeout() const = 0;
 

@@ -198,11 +198,11 @@ Report Runner::run() {
   const protocol::NetworkStats wire_before = h.network().stats();
   std::array<std::uint64_t, sim::kMessageKindCount> msgs_before{};
   std::array<std::uint64_t, sim::kMessageKindCount> bytes_before{};
+  const sim::Metrics metrics_before = h.network().metrics();
   for (std::size_t k = 0; k < sim::kMessageKindCount; ++k) {
-    msgs_before[k] =
-        h.network().metrics().messages(static_cast<sim::MessageKind>(k));
+    msgs_before[k] = metrics_before.messages(static_cast<sim::MessageKind>(k));
     bytes_before[k] =
-        h.network().metrics().wire_bytes(static_cast<sim::MessageKind>(k));
+        metrics_before.wire_bytes(static_cast<sim::MessageKind>(k));
   }
 
   // Windowed time series.  The sampler is passive: the Runner sequences
@@ -212,9 +212,9 @@ Report Runner::run() {
   obs::MetricsSampler sampler(scenario_.sample_interval);
   const auto snapshot = [&h] {
     obs::CounterSnapshot c;
+    const sim::Metrics metrics = h.network().metrics();
     for (std::size_t k = 0; k < sim::kMessageKindCount; ++k) {
-      c.messages[k] =
-          h.network().metrics().messages(static_cast<sim::MessageKind>(k));
+      c.messages[k] = metrics.messages(static_cast<sim::MessageKind>(k));
     }
     c.duplicates = h.network().stats().duplicates;
     c.retransmits = h.network().stats().retransmits;
@@ -337,18 +337,18 @@ Report Runner::run() {
   rep.wire.wire_bytes = wire_after.wire_bytes - wire_before.wire_bytes;
   // Transfer-attempt distribution (whole run: the populate phase runs
   // under the same loss model, so its attempts belong in the picture).
-  const stats::StreamingSummary& attempts =
-      h.network().metrics().transfer_attempts();
+  const sim::Metrics metrics_after = h.network().metrics();
+  const stats::StreamingSummary& attempts = metrics_after.transfer_attempts();
   rep.transfers_settled = attempts.count();
   rep.mean_transfer_attempts = attempts.mean();
   rep.max_transfer_attempts = attempts.count() ? attempts.max() : 0.0;
   for (std::size_t k = 0; k < sim::kMessageKindCount; ++k) {
     rep.messages[k] =
-        h.network().metrics().messages(static_cast<sim::MessageKind>(k)) -
+        metrics_after.messages(static_cast<sim::MessageKind>(k)) -
         msgs_before[k];
     rep.total_messages += rep.messages[k];
     rep.wire_bytes_by_kind[k] =
-        h.network().metrics().wire_bytes(static_cast<sim::MessageKind>(k)) -
+        metrics_after.wire_bytes(static_cast<sim::MessageKind>(k)) -
         bytes_before[k];
     rep.total_wire_bytes += rep.wire_bytes_by_kind[k];
   }

@@ -383,20 +383,10 @@ TEST(ServedShard, AnswersRemoteClientsExactly) {
     EXPECT_EQ(client.outstanding(), 0u);
     EXPECT_EQ(answers, 2u);
 
-    // Scenario-vocabulary stream against the socket.
-    const std::size_t sent = drive_query_stream(
-        client, scenario::Event::query_stream(0.0, 6, 0.05), 0x1234ULL);
-    EXPECT_EQ(sent, 6u);
-    while (client.outstanding() > 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      client.poll_answers(0.1);
-    }
-    EXPECT_EQ(client.outstanding(), 0u);
-
     const ServeFrame report = client.get_report();
     EXPECT_TRUE(report.drained);
-    EXPECT_EQ(report.completed, 8u);
-    EXPECT_EQ(report.graded, 8u);
+    EXPECT_EQ(report.completed, 2u);
+    EXPECT_EQ(report.graded, 2u);
     EXPECT_EQ(report.recall, 1.0);
     EXPECT_EQ(report.precision, 1.0);
     EXPECT_GT(report.wire_bytes, 0u);

@@ -317,18 +317,15 @@ TEST(CountingModel, BillsReissuedQueryOnce) {
   ASSERT_GT(rep.reissued, 0u)
       << "scenario did not provoke a re-issue; the billing audit needs one";
 
-  const auto& ops = runner.harness()
-                        .harness()
-                        .network()
-                        .metrics()
-                        .operation_messages(sim::OperationKind::kQuery);
+  // A snapshot: a reference into the temporary copy would dangle.
+  const sim::Metrics metrics = runner.harness().harness().network().metrics();
+  const auto& ops = metrics.operation_messages(sim::OperationKind::kQuery);
   EXPECT_EQ(ops.count(), rep.completed)
       << "re-issued epochs must bill to one operation record";
   // Each completed query generated wire work, so the mean is positive and
   // at least the route length (every hop is a message).
   EXPECT_GT(ops.mean(), 0.0);
-  const auto& hops = runner.harness().harness().network().metrics().hops(
-      sim::OperationKind::kQuery);
+  const auto& hops = metrics.hops(sim::OperationKind::kQuery);
   EXPECT_EQ(hops.count(), rep.completed);
   EXPECT_GE(ops.mean(), hops.mean());
 }

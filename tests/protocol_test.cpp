@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
+#include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "protocol/sim_transport.hpp"
 #include "workload/distributions.hpp"
@@ -34,6 +39,91 @@ void grow(ProtocolHarness& h, workload::PointGenerator& gen, Rng& rng,
   const auto run = h.run_to_idle();
   ASSERT_FALSE(run.budget_exhausted);
 }
+
+// ---------------------------------------------------------------------------
+// ProtocolNode in isolation, one row per view-update kind
+// ---------------------------------------------------------------------------
+
+struct UpdateRow {
+  sim::MessageKind kind;
+  ViewComponent component;
+};
+constexpr UpdateRow kUpdateRows[] = {
+    {sim::MessageKind::kVoronoiUpdate, ViewComponent::kVn},
+    {sim::MessageKind::kCloseNeighbor, ViewComponent::kCn},
+    {sim::MessageKind::kLongLinkBind, ViewComponent::kLr},
+};
+
+bool same_view(std::span<const ViewEntry> view,
+               const std::vector<ViewEntry>& want) {
+  return std::equal(view.begin(), view.end(), want.begin(), want.end());
+}
+
+TEST(ProtocolNode, UpdateLandsInItsOwnComponentAndStaleVersionsAreRefused) {
+  for (const UpdateRow& row : kUpdateRows) {
+    SCOPED_TRACE(sim::message_kind_name(row.kind));
+    EXPECT_EQ(update_kind(row.component), row.kind);
+    EXPECT_EQ(component_of(row.kind), row.component);
+    ViewArena arena;
+    ProtocolNode node(0, {0.5, 0.5});
+    Message m;
+    m.type = row.kind;
+    m.version = 5;
+    m.entries = {{1, {0.1, 0.1}}, {2, {0.9, 0.9}}};
+    ASSERT_TRUE(node.apply_update(m, arena));
+    for (const ViewComponent c : kViewComponents) {
+      const std::span<const ViewEntry> view = node.view(c, arena);
+      if (c == row.component) {
+        EXPECT_TRUE(same_view(view, m.entries));
+      } else {
+        EXPECT_TRUE(view.empty()) << static_cast<int>(c);
+      }
+    }
+    // An equal version (a duplicate) and an older one (reordering) are
+    // both refused and leave the component as it was.
+    for (const std::uint64_t version : {5u, 4u}) {
+      Message stale = m;
+      stale.version = version;
+      stale.entries = {{3, {0.2, 0.2}}};
+      EXPECT_FALSE(node.apply_update(stale, arena)) << version;
+      EXPECT_TRUE(same_view(node.view(row.component, arena), m.entries));
+    }
+    Message newer = m;
+    newer.version = 6;
+    newer.entries = {{3, {0.2, 0.2}}};
+    EXPECT_TRUE(node.apply_update(newer, arena));
+    EXPECT_TRUE(same_view(node.view(row.component, arena), newer.entries));
+  }
+  ViewArena arena;
+  ProtocolNode node(0, {0.5, 0.5});
+  Message not_an_update;
+  not_an_update.type = sim::MessageKind::kQuery;
+  EXPECT_THROW((void)node.apply_update(not_an_update, arena), ContractError);
+}
+
+TEST(ProtocolNode, ForgetPeerMatchesIdAndPositionInEveryComponent) {
+  const ViewEntry departed{7, {0.2, 0.3}};
+  const ViewEntry recycled{7, {0.8, 0.1}};  // same id, another object
+  const ViewEntry other{9, {0.6, 0.6}};
+  ViewArena arena;
+  ProtocolNode node(0, {0.5, 0.5});
+  for (const UpdateRow& row : kUpdateRows) {
+    Message m;
+    m.type = row.kind;
+    m.version = 1;
+    m.entries = {other, departed, recycled};
+    ASSERT_TRUE(node.apply_update(m, arena));
+  }
+  node.forget_peer(departed.id, departed.pos, arena);
+  for (const UpdateRow& row : kUpdateRows) {
+    SCOPED_TRACE(sim::message_kind_name(row.kind));
+    EXPECT_TRUE(same_view(node.view(row.component, arena), {other, recycled}));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The harness: local views against the ground truth
+// ---------------------------------------------------------------------------
 
 TEST(ProtocolEngine, DifferentialQuiescenceZeroLatencyZeroLoss) {
   // The synchronous limit: dissemination is instantaneous, so after every
