@@ -42,11 +42,25 @@ void clip_halfplane(std::vector<Vec2>& poly, Vec2 origin, Vec2 normal,
   poly = out;
 }
 
+using Neighbours = std::vector<DelaunayTriangulation::VertexId>;
+
+/// The Delaunay neighbours of `site`, in a per-thread buffer that stays
+/// valid until the next call.
+const Neighbours& neighbours_of(const DelaunayTriangulation& dt,
+                                DelaunayTriangulation::VertexId site) {
+  thread_local Neighbours nbrs;
+  nbrs.clear();
+  dt.append_neighbors(site, nbrs);
+  return nbrs;
+}
+
 /// Clip the box polygon by the perpendicular bisectors towards every
-/// Delaunay neighbour of `site` (the bisectors of non-neighbours are
-/// redundant by Voronoi/Delaunay duality).  Writes the cell into `poly`.
+/// Delaunay neighbour `nbrs` of `site` (the bisectors of non-neighbours
+/// are redundant by Voronoi/Delaunay duality).  Writes the cell into
+/// `poly`.
 void clip_cell_into(const DelaunayTriangulation& dt,
-                    DelaunayTriangulation::VertexId site, const Box& box,
+                    DelaunayTriangulation::VertexId site,
+                    const Neighbours& nbrs, const Box& box,
                     std::vector<Vec2>& poly) {
   poly.clear();
   poly.push_back({box.lo.x, box.lo.y});
@@ -55,9 +69,6 @@ void clip_cell_into(const DelaunayTriangulation& dt,
   poly.push_back({box.lo.x, box.hi.y});
 
   const Vec2 s = dt.position(site);
-  thread_local std::vector<DelaunayTriangulation::VertexId> nbrs;
-  nbrs.clear();
-  dt.append_neighbors(site, nbrs);
   for (const auto n : nbrs) {
     const Vec2 q = dt.position(n);
     const Vec2 mid = 0.5 * (s + q);
@@ -73,7 +84,7 @@ VoronoiCell cell_by_clipping(const DelaunayTriangulation& dt,
                              const Box& box) {
   VoronoiCell cell;
   cell.site = site;
-  clip_cell_into(dt, site, box, cell.polygon);
+  clip_cell_into(dt, site, neighbours_of(dt, site), box, cell.polygon);
   // Determine whether the box actually bounds the cell: if any polygon
   // vertex lies on the box boundary the cell was (potentially) unbounded.
   for (const Vec2 v : cell.polygon) {
@@ -86,42 +97,13 @@ VoronoiCell cell_by_clipping(const DelaunayTriangulation& dt,
   return cell;
 }
 
-}  // namespace
-
-void Box::expand_to(Vec2 p, double margin) {
-  lo.x = std::min(lo.x, p.x - margin);
-  lo.y = std::min(lo.y, p.y - margin);
-  hi.x = std::max(hi.x, p.x + margin);
-  hi.y = std::max(hi.y, p.y + margin);
-}
-
-VoronoiCell voronoi_cell(const DelaunayTriangulation& dt,
-                         DelaunayTriangulation::VertexId site,
-                         const Box& box) {
-  VORONET_EXPECT(dt.is_live(site), "voronoi_cell of a dead vertex");
-  return cell_by_clipping(dt, site, box);
-}
-
-std::vector<VoronoiCell> voronoi_diagram(const DelaunayTriangulation& dt,
-                                         const Box& box) {
-  std::vector<VoronoiCell> cells;
-  cells.reserve(dt.size());
-  dt.for_each_vertex([&](DelaunayTriangulation::VertexId v) {
-    cells.push_back(cell_by_clipping(dt, v, box));
-  });
-  return cells;
-}
-
 Vec2 closest_point_in_region(const DelaunayTriangulation& dt,
-                             DelaunayTriangulation::VertexId site, Vec2 p) {
-  VORONET_EXPECT(dt.is_live(site), "closest_point_in_region: dead site");
+                             DelaunayTriangulation::VertexId site,
+                             const Neighbours& nbrs, Vec2 p) {
   const Vec2 s = dt.position(site);
 
   // Fast path: p already inside the region (strictly closer to the site
   // than to every Delaunay neighbour).
-  thread_local std::vector<DelaunayTriangulation::VertexId> nbrs;
-  nbrs.clear();
-  dt.append_neighbors(site, nbrs);
   bool inside = true;
   for (const auto n : nbrs) {
     const Vec2 q = dt.position(n);
@@ -138,7 +120,7 @@ Vec2 closest_point_in_region(const DelaunayTriangulation& dt,
   const double r = dist(s, p) * 1.0001 + 1e-12;
   const Box box{{p.x - r, p.y - r}, {p.x + r, p.y + r}};
   thread_local std::vector<Vec2> poly;
-  clip_cell_into(dt, site, box, poly);
+  clip_cell_into(dt, site, nbrs, box, poly);
   VORONET_EXPECT(!poly.empty(), "clipped Voronoi cell vanished");
 
   Vec2 best = s;
@@ -157,16 +139,10 @@ Vec2 closest_point_in_region(const DelaunayTriangulation& dt,
   return best;
 }
 
-double dist2_to_region(const DelaunayTriangulation& dt,
-                       DelaunayTriangulation::VertexId site, Vec2 p) {
-  return dist2(p, closest_point_in_region(dt, site, p));
-}
-
 double dist2_region_to_segment(const DelaunayTriangulation& dt,
-                               DelaunayTriangulation::VertexId site, Vec2 a,
-                               Vec2 b) {
-  VORONET_EXPECT(dt.is_live(site), "dist2_region_to_segment: dead site");
-  if (a == b) return dist2_to_region(dt, site, a);
+                               DelaunayTriangulation::VertexId site,
+                               const Neighbours& nbrs, Vec2 a, Vec2 b) {
+  if (a == b) return dist2(a, closest_point_in_region(dt, site, nbrs, a));
   const Vec2 s = dt.position(site);
 
   // Does the segment meet the region?  The region is the intersection of
@@ -176,9 +152,6 @@ double dist2_region_to_segment(const DelaunayTriangulation& dt,
   // included) and returns 0 exactly when some p(t) satisfies every
   // constraint -- a segment merely grazing the cell boundary lands on
   // tlo == thi instead of the false positives of a sampled minimisation.
-  thread_local std::vector<DelaunayTriangulation::VertexId> nbrs;
-  nbrs.clear();
-  dt.append_neighbors(site, nbrs);
   double tlo = 0.0;
   double thi = 1.0;
   for (const auto n : nbrs) {
@@ -213,7 +186,7 @@ double dist2_region_to_segment(const DelaunayTriangulation& dt,
   Box box{{std::min(a.x, b.x) - margin, std::min(a.y, b.y) - margin},
           {std::max(a.x, b.x) + margin, std::max(a.y, b.y) + margin}};
   thread_local std::vector<Vec2> poly;
-  clip_cell_into(dt, site, box, poly);
+  clip_cell_into(dt, site, nbrs, box, poly);
   VORONET_EXPECT(!poly.empty(), "clipped Voronoi cell vanished");
 
   double best = dist2_to_segment(a, b, s);  // upper bound (s is in the region)
@@ -223,6 +196,80 @@ double dist2_region_to_segment(const DelaunayTriangulation& dt,
                     dist2_segment_segment(a, b, poly[i], poly[(i + 1) % n]));
   }
   return best;
+}
+
+}  // namespace
+
+void Box::expand_to(Vec2 p, double margin) {
+  lo.x = std::min(lo.x, p.x - margin);
+  lo.y = std::min(lo.y, p.y - margin);
+  hi.x = std::max(hi.x, p.x + margin);
+  hi.y = std::max(hi.y, p.y + margin);
+}
+
+VoronoiCell voronoi_cell(const DelaunayTriangulation& dt,
+                         DelaunayTriangulation::VertexId site,
+                         const Box& box) {
+  VORONET_EXPECT(dt.is_live(site), "voronoi_cell of a dead vertex");
+  return cell_by_clipping(dt, site, box);
+}
+
+std::vector<VoronoiCell> voronoi_diagram(const DelaunayTriangulation& dt,
+                                         const Box& box) {
+  std::vector<VoronoiCell> cells;
+  cells.reserve(dt.size());
+  dt.for_each_vertex([&](DelaunayTriangulation::VertexId v) {
+    cells.push_back(cell_by_clipping(dt, v, box));
+  });
+  return cells;
+}
+
+Vec2 closest_point_in_region(const DelaunayTriangulation& dt,
+                             DelaunayTriangulation::VertexId site, Vec2 p) {
+  VORONET_EXPECT(dt.is_live(site), "closest_point_in_region: dead site");
+  return closest_point_in_region(dt, site, neighbours_of(dt, site), p);
+}
+
+double dist2_to_region(const DelaunayTriangulation& dt,
+                       DelaunayTriangulation::VertexId site, Vec2 p) {
+  return dist2(p, closest_point_in_region(dt, site, p));
+}
+
+double dist2_region_to_segment(const DelaunayTriangulation& dt,
+                               DelaunayTriangulation::VertexId site, Vec2 a,
+                               Vec2 b) {
+  VORONET_EXPECT(dt.is_live(site), "dist2_region_to_segment: dead site");
+  return dist2_region_to_segment(dt, site, neighbours_of(dt, site), a, b);
+}
+
+bool region_within(const DelaunayTriangulation& dt,
+                   DelaunayTriangulation::VertexId site, Vec2 a, Vec2 b,
+                   double tol2) {
+  VORONET_EXPECT(dt.is_live(site), "region_within: dead site");
+  const Vec2 s = dt.position(site);
+  // Upper bound: both exact distances start from d(s, query) -- the very
+  // expression below -- and only go down from it.
+  if ((a == b ? dist2(s, a) : dist2_to_segment(a, b, s)) <= tol2) return true;
+
+  // Lower bound: the region lies on s's side of the bisector towards
+  // every Delaunay neighbour q, so a query entirely beyond one, by more
+  // than tol, is farther than tol from the region.  The margin is 1e-9 of
+  // the coordinates' magnitude: the bound and the clipped polygon each
+  // err by a few ulps of it.
+  const double tol = std::sqrt(tol2);
+  const auto mag = [](Vec2 v) { return std::max(std::abs(v.x), std::abs(v.y)); };
+  const double scale = 1.0 + std::max({mag(a), mag(b), mag(s)});
+  const Neighbours& nbrs = neighbours_of(dt, site);
+  for (const auto n : nbrs) {
+    const Vec2 q = dt.position(n);
+    const Vec2 mid = 0.5 * (s + q);
+    const Vec2 normal = q - s;
+    const double f = std::min(dot(a - mid, normal), dot(b - mid, normal));
+    if (f <= 0.0) continue;
+    const double bound = tol + 1e-9 * std::max(scale, 1.0 + mag(q));
+    if (f * f > bound * bound * norm2(normal)) return false;
+  }
+  return dist2_region_to_segment(dt, site, nbrs, a, b) <= tol2;
 }
 
 }  // namespace voronet::geo

@@ -77,4 +77,15 @@ double dist2_region_to_segment(const DelaunayTriangulation& dt,
                                DelaunayTriangulation::VertexId site, Vec2 a,
                                Vec2 b);
 
+/// dist2_region_to_segment(dt, site, a, b) <= tol2 (a point query when
+/// a == b), with the same verdict, but most probes are settled without
+/// clipping the cell: the site lies in its region, so d(site, query) <=
+/// tol bounds the distance from above, and p's distance beyond any one
+/// bisector half-plane bounds it from below.  A bound only decides when
+/// it clears tol by a margin far above the rounding of either side; the
+/// rest fall through to the exact computation.
+bool region_within(const DelaunayTriangulation& dt,
+                   DelaunayTriangulation::VertexId site, Vec2 a, Vec2 b,
+                   double tol2);
+
 }  // namespace voronet::geo

@@ -541,12 +541,9 @@ bool ProtocolHarness::query_region_qualifies(const QuerySpec& spec,
   // Substitution 1: the clipped-cell geometry a deployed object would
   // hold locally is read off the ground-truth tessellation.
   if (!overlay_.contains(o)) return false;
-  const double tol2 = spec.tol * spec.tol;
-  if (spec.kind == QueryKind::kRange) {
-    return geo::dist2_region_to_segment(overlay_.tessellation(), o, spec.a,
-                                        spec.b) <= tol2;
-  }
-  return geo::dist2_to_region(overlay_.tessellation(), o, spec.a) <= tol2;
+  const Vec2 b = spec.kind == QueryKind::kRange ? spec.b : spec.a;
+  return geo::region_within(overlay_.tessellation(), o, spec.a, b,
+                            spec.tol * spec.tol);
 }
 
 void ProtocolHarness::serve_query(std::uint64_t query_id, NodeId node,

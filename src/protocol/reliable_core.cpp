@@ -489,8 +489,9 @@ double ReliableCore::sample_delay() {
 void ReliableCore::transmit(const Message& msg) {
   ++stats_.transmissions;
   metrics_.count_message(msg.type);
-  metrics_.count_wire_bytes(msg.type, net::wire_frame_size(msg));
-  stats_.wire_bytes += net::wire_frame_size(msg);
+  const std::size_t bytes = net::wire_frame_size(msg);
+  metrics_.count_wire_bytes(msg.type, bytes);
+  stats_.wire_bytes += bytes;
   if (msg.type == sim::MessageKind::kAck) ++stats_.acks;
   const bool link_down = link_up_ && !link_up_(msg.src, msg.dst);
   const double drop = effective_drop();
@@ -516,7 +517,7 @@ void ReliableCore::transmit(const Message& msg) {
   }
 }
 
-void ReliableCore::arrive(Message msg) {
+void ReliableCore::arrive(Message&& msg) {
   const auto lk = guard();
   if (msg.type == sim::MessageKind::kAck) {
     settle(msg);
@@ -573,7 +574,7 @@ void ReliableCore::settle(const Message& ack) {
   if (!orphans_.empty()) orphans_.erase(ack.transfer_id);
 }
 
-void ReliableCore::receive(Message msg) {
+void ReliableCore::receive(Message&& msg) {
   // Acknowledge every reliable arrival, duplicates included (the previous
   // ack may be the thing that got lost).
   Message ack;

@@ -175,7 +175,7 @@ class ReliableCore : public Transport {
   // --- Wire entry points (guarded) -----------------------------------------
 
   /// A carried message reached its destination host.
-  void arrive(Message msg);
+  void arrive(Message&& msg);
   /// A retransmit timer fired.
   void on_timeout(std::uint32_t slot, std::uint64_t transfer_id);
   /// Return a payload vector's capacity to the draft pool.
@@ -256,7 +256,7 @@ class ReliableCore : public Transport {
   [[nodiscard]] double sample_delay();
   /// Deliver a message that reached its live, running destination: ack,
   /// dedup, hand up.
-  void receive(Message msg);
+  void receive(Message&& msg);
   /// An ack arrived: free the transfer and its orphan record.
   void settle(const Message& ack);
   /// Armed timeout for the transfer's next attempt: capped exponential

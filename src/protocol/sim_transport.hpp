@@ -51,7 +51,10 @@ class SimTransport final : public ReliableCore {
   void carry(const Message& msg, double delay) override {
     // The slab slot is the attempt's one payload copy; the [this, index]
     // closure fits std::function's inline buffer, so the event itself
-    // allocates nothing.
+    // allocates nothing.  A recycled slot's payload vector went to the
+    // draft pool on landing, so a payload copy draws its buffer from
+    // there (draft() takes no lock on the sim core): arrive() hands it
+    // back, and the loop allocates nothing either.
     std::uint32_t index;
     if (free_attempts_.empty()) {
       index = static_cast<std::uint32_t>(attempts_.size());
@@ -59,7 +62,11 @@ class SimTransport final : public ReliableCore {
     } else {
       index = free_attempts_.back();
       free_attempts_.pop_back();
-      attempts_[index] = msg;
+      Message& slot = attempts_[index];
+      if (slot.entries.capacity() < msg.entries.size()) {
+        slot.entries = draft().entries;
+      }
+      slot = msg;
     }
     queue_.schedule(delay, [this, index] { land(index); });
   }

@@ -13,12 +13,16 @@
 //                          event neither advances the clock nor counts as
 //                          processed.
 //
-// Layout: handlers live in a slot table (free-list recycled); the heap is
-// a 4-ary min-heap of POD nodes {at, seq, slot}, so sifting moves 24-byte
-// keys, never a std::function.  Each slot records its node's heap
-// position, which lets cancel() erase the node at once (O(log n)) and
-// destroy the handler's captures on the spot: the heap never holds a
-// dead entry, and it holds exactly pending() nodes.
+// Layout: handlers live in a slot table (free-list recycled); the two
+// channels keep separate 4-ary min-heaps of POD nodes {at, seq, slot}, so
+// sifting moves 24-byte keys, never a std::function, and step() takes
+// the earlier of the two heap tops -- one (at, seq) order over both, as
+// seq is shared.  Only the timer heap records each node's position in
+// its slot, which lets cancel() erase the node at once (O(log n)) and
+// destroy the handler's captures on the spot; the event heap, where most
+// traffic is and nothing is ever cancelled, pays for no such bookkeeping
+// and never holds the (mostly far-off) timers.  Neither heap holds a dead
+// entry: together they hold exactly pending() nodes.
 //
 // A TimerId is `generation << 32 | slot`.  A slot's generation starts at
 // 1 and advances every time the slot is released (fired or cancelled), so
@@ -79,8 +83,10 @@ class EventQueue {
 
   [[nodiscard]] double now() const { return now_; }
   [[nodiscard]] bool idle() const { return pending() == 0; }
-  /// Events still queued (the heap's size: cancelled timers are gone).
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  /// Events still queued (the heaps' size: cancelled timers are gone).
+  [[nodiscard]] std::size_t pending() const {
+    return events_.size() + timers_.size();
+  }
   [[nodiscard]] std::size_t processed() const { return processed_; }
 
   static constexpr std::size_t kDefaultEventBudget = 100'000'000;
@@ -92,35 +98,42 @@ class EventQueue {
     std::uint64_t seq;
     std::uint32_t slot;
   };
-  /// One handler-table entry.  pos is the node's heap index, kFree while
-  /// the slot is on the free list.
+  /// One handler-table entry.  pos is the node's timer-heap index,
+  /// kEvent for a slot whose node is in the event heap, kFree while the
+  /// slot is on the free list.
   struct Slot {
     Handler fn;
     std::uint32_t gen = 1;
     std::uint32_t pos = kFree;
   };
   static constexpr std::uint32_t kFree = 0xffffffffu;
+  static constexpr std::uint32_t kEvent = 0xfffffffeu;
 
   [[nodiscard]] static bool before(const Node& a, const Node& b) {
-    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+    // Bitwise, not short-circuit: no branch to mispredict.
+    return (a.at < b.at) | ((a.at == b.at) & (a.seq < b.seq));
   }
 
-  /// Store fn in a free slot and push its node; returns the slot.
-  std::uint32_t push(double delay, Handler fn);
-  /// Remove the node at heap index i.
-  void erase_at(std::size_t i);
-  /// Fill the hole at heap index i with n, moving n towards the root /
-  /// towards the leaves.
-  void sift_up(std::size_t i, Node n);
-  void sift_down(std::size_t i, Node n);
-  void place(std::size_t i, const Node& n) {
-    heap_[i] = n;
-    slots_[n.slot].pos = static_cast<std::uint32_t>(i);
-  }
+  /// Store fn in a free slot and push its node onto the timer heap
+  /// (timer) or the event heap; returns the slot.
+  std::uint32_t push(double delay, Handler fn, bool timer);
+  /// Remove the event heap's top node.
+  void pop_event();
+  /// Remove the node at timer-heap index i.
+  void erase_timer_at(std::size_t i);
+  /// Fill the hole at index i of `heap` with n, moving n towards the
+  /// root / towards the leaves; place(i, node) stores a node.
+  template <class Place>
+  static void sift_up(std::vector<Node>& heap, std::size_t i, Node n,
+                      Place place);
+  template <class Place>
+  static void sift_down(std::vector<Node>& heap, std::size_t i, Node n,
+                        Place place);
   /// Free a slot (bumping its generation) and hand back its handler.
   Handler release(std::uint32_t slot);
 
-  std::vector<Node> heap_;
+  std::vector<Node> events_;  ///< schedule()'s heap
+  std::vector<Node> timers_;  ///< schedule_timer()'s heap
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   double now_ = 0.0;

@@ -93,14 +93,13 @@ RegionQueryResult range_query(const Overlay& overlay, ObjectId from, Vec2 a,
   // it form a connected patch of the Voronoi adjacency and the flood
   // reaches them all.  With tolerance 0 this degenerates to the paper's
   // sketch -- forwarding along the cells the segment crosses, decided
-  // exactly by dist2_region_to_segment (a grazing segment returns 0, not
-  // a small positive approximation).
+  // exactly by dist2_region_to_segment's verdict (a grazing segment
+  // returns 0, not a small positive approximation).
   const double tol2 = tolerance * tolerance;
   return region_flood(
       overlay, from, a,
       [&](ObjectId o) {
-        return geo::dist2_region_to_segment(overlay.tessellation(), o, a,
-                                            b) <= tol2;
+        return geo::region_within(overlay.tessellation(), o, a, b, tol2);
       },
       [&](ObjectId o) {
         return site_within_tolerance(a, b, overlay.position(o), tolerance);
@@ -118,7 +117,8 @@ RegionQueryResult radius_query(const Overlay& overlay, ObjectId from,
   return region_flood(
       overlay, from, center,
       [&](ObjectId o) {
-        return geo::dist2_to_region(overlay.tessellation(), o, center) <= r2;
+        return geo::region_within(overlay.tessellation(), o, center, center,
+                                  r2);
       },
       [&](ObjectId o) {
         return site_within_tolerance(center, center, overlay.position(o),

@@ -1,6 +1,9 @@
 // Tests for Voronoi cell extraction and DistanceToRegion.
 #include "geometry/voronoi.hpp"
 
+#include <cmath>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -149,6 +152,59 @@ TEST(DistanceToRegion, PendingModeWorks) {
   const Vec2 z = closest_point_in_region(dt, a, {0.9, 0.5});
   EXPECT_NEAR(z.x, 0.5, 1e-9);
   EXPECT_EQ(closest_point_in_region(dt, b, {0.9, 0.5}), (Vec2{0.9, 0.5}));
+}
+
+/// region_within against the exact distance it short-cuts, over point
+/// and segment queries whose tolerance sits exactly on, just below and
+/// around the exact distance, on a unit-square and a far-offset diagram.
+void expect_region_within_matches_exact(Vec2 origin, double span,
+                                        std::uint64_t seed) {
+  DelaunayTriangulation dt;
+  Rng rng(seed);
+  std::vector<VertexId> ids;
+  for (int i = 0; i < 150; ++i) {
+    ids.push_back(dt.insert({origin.x + span * rng.uniform(),
+                             origin.y + span * rng.uniform()})
+                      .vertex);
+  }
+  const auto probe = [&] {
+    return Vec2{origin.x + span * rng.uniform(-0.2, 1.2),
+                origin.y + span * rng.uniform(-0.2, 1.2)};
+  };
+  std::size_t checked = 0;
+  for (int q = 0; q < 3000; ++q) {
+    const VertexId o = ids[rng.index(ids.size())];
+    const Vec2 a = probe();
+    const Vec2 b = q % 2 == 0 ? a : a + 0.05 * (probe() - a);
+    const double exact = dist2_region_to_segment(dt, o, a, b);
+    const double scale = span * span;
+    for (const double tol2 :
+         {exact, std::nextafter(exact, 0.0), exact * (1.0 + 1e-12),
+          exact * (1.0 - 1e-12), exact * 4.0, exact * 0.25,
+          scale * rng.uniform(0.0, 0.01), 0.0}) {
+      ASSERT_EQ(region_within(dt, o, a, b, tol2), exact <= tol2)
+          << "site " << o << " a (" << a.x << ", " << a.y << ") b (" << b.x
+          << ", " << b.y << ") tol2 " << tol2 << " exact " << exact;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 3000u * 8u);
+}
+
+TEST(RegionWithin, MatchesTheExactDistanceVerdict) {
+  expect_region_within_matches_exact({0.0, 0.0}, 1.0, 7);
+  expect_region_within_matches_exact({-3.0e3, 5.0e3}, 1.0, 8);
+  expect_region_within_matches_exact({0.0, 0.0}, 1.0e4, 9);
+}
+
+TEST(RegionWithin, PendingModeWorks) {
+  DelaunayTriangulation dt;
+  const auto a = dt.insert({0.25, 0.5}).vertex;
+  dt.insert({0.75, 0.5});
+  // a's region ends at x = 0.5.
+  EXPECT_TRUE(region_within(dt, a, {0.6, 0.5}, {0.6, 0.5}, 0.0101));
+  EXPECT_FALSE(region_within(dt, a, {0.6, 0.5}, {0.6, 0.5}, 0.0099));
+  EXPECT_TRUE(region_within(dt, a, {0.9, 0.1}, {0.4, 0.9}, 0.0));
 }
 
 TEST(BoxOps, ExpandTo) {
